@@ -51,11 +51,8 @@ from .generators import blowup_product, chain_circuit, random_circuit, tower_cir
 from .reduction import (
     ReduceStats,
     compare_circuits,
-    double_vertex,
-    make_unreachable,
     normalize,
     reduce,
-    separate,
     sign,
     verify_certificate,
 )

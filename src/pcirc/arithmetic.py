@@ -1,10 +1,11 @@
 """Arithmetic on power circuits by graph surgery, never by evaluation.
 
 Each operation assembles its result from disjoint copies of the operands,
-so output sizes are exact functions of input sizes: add and subtract
-concatenate, exp2 adds a single apex vertex, mul_pow2 only adds edges, and
-multiply splices the marked vertices of both sides pairwise.  Nothing here
-reduces the result; callers that want canonical circuits reduce afterwards.
+so output sizes follow from input sizes: add and subtract concatenate, exp2
+adds a single apex vertex, the shifts add edges and merge the operands'
+zero leaves, and multiply splices the marked vertices of both sides
+pairwise.  Nothing here reduces the result; callers that want canonical
+circuits reduce afterwards.
 
 The one exception is div_pow2: deciding whether a quotient exists at all
 takes a reduction, so its exact mode returns IMPROPER for non-divisible
@@ -36,37 +37,30 @@ def _append(dst: PowerCircuit, src: PowerCircuit) -> dict:
     return m
 
 
+def _signed_union(*parts) -> PowerCircuit:
+    """Disjoint union of (circuit, sign) parts, each part's marks times its
+    sign; sizes add exactly."""
+    w = PowerCircuit()
+    for c, sign in parts:
+        m = _append(w, c)
+        for v, s in c._marks.items():
+            w.set_mark(m[v], sign * s)
+    return w.freeze(CircuitKind.GENERAL)
+
+
 def add(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
     """N(a) + N(b) as the disjoint union; sizes add exactly."""
-    w = PowerCircuit()
-    ma = _append(w, a)
-    mb = _append(w, b)
-    for v, s in a._marks.items():
-        w.set_mark(ma[v], s)
-    for v, s in b._marks.items():
-        w.set_mark(mb[v], s)
-    return w.freeze(CircuitKind.GENERAL)
+    return _signed_union((a, 1), (b, 1))
 
 
 def negate(a: PowerCircuit) -> PowerCircuit:
     """-N(a): same graph, every mark sign flipped."""
-    w = PowerCircuit()
-    m = _append(w, a)
-    for v, s in a._marks.items():
-        w.set_mark(m[v], -s)
-    return w.freeze(CircuitKind.GENERAL)
+    return _signed_union((a, -1))
 
 
 def subtract(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
     """N(a) - N(b): disjoint union with b's marks flipped."""
-    w = PowerCircuit()
-    ma = _append(w, a)
-    mb = _append(w, b)
-    for v, s in a._marks.items():
-        w.set_mark(ma[v], s)
-    for v, s in b._marks.items():
-        w.set_mark(mb[v], -s)
-    return w.freeze(CircuitKind.GENERAL)
+    return _signed_union((a, 1), (b, -1))
 
 
 def exp2(a: PowerCircuit) -> PowerCircuit:
@@ -83,11 +77,12 @@ def exp2(a: PowerCircuit) -> PowerCircuit:
     return w.freeze(CircuitKind.GENERAL)
 
 
-def mul_pow2(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
-    """N(a) * 2^N(b): wire every marked summand of a into b's marks.
+def _shift(a: PowerCircuit, b: PowerCircuit, sign: int) -> PowerCircuit:
+    """N(a) * 2^(sign * N(b)): wire every marked summand of a into b's marks.
 
     Marks of a are made sources first so the added edges touch nothing
-    else.  Marked zero leaves stay bare: 0 * 2^y is 0.
+    else.  Marked zero leaves stay bare: 0 * 2^y is 0.  The operand zero
+    leaves collapse into one.
     """
     a2 = circ.marked_to_sources(a)
     w = PowerCircuit()
@@ -97,32 +92,25 @@ def mul_pow2(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
         if a2.is_zero_leaf(u):
             continue
         for v, sv in b._marks.items():
-            w.add_edge(ma[u], mb[v], sv)
+            w.add_edge(ma[u], mb[v], sign * sv)
     for u, su in a2._marks.items():
         w.set_mark(ma[u], su)
+    circ.fold_zero_leaves_inplace(w)
     return w.freeze(CircuitKind.GENERAL)
+
+
+def mul_pow2(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
+    """N(a) * 2^N(b)."""
+    return _shift(a, b, 1)
 
 
 def div_pow2_raw(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
     """N(a) * 2^(-N(b)) structurally, with no divisibility check.
 
     The result is improper whenever 2^N(b) does not divide a marked
-    summand; use div_pow2 for checked division.  The operand zero leaves
-    collapse into one.
+    summand; use div_pow2 for checked division.
     """
-    a2 = circ.marked_to_sources(a)
-    w = PowerCircuit()
-    ma = _append(w, a2)
-    mb = _append(w, b)
-    for u in a2._marks:
-        if a2.is_zero_leaf(u):
-            continue
-        for v, sv in b._marks.items():
-            w.add_edge(ma[u], mb[v], -sv)
-    for u, su in a2._marks.items():
-        w.set_mark(ma[u], su)
-    circ.fold_zero_leaves_inplace(w)
-    return w.freeze(CircuitKind.GENERAL)
+    return _shift(a, b, -1)
 
 
 def multiply(a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
@@ -197,8 +185,6 @@ def div_pow2(a: PowerCircuit, b: PowerCircuit, mode: DivMode = DivMode.EXACT):
     if circ.is_trivial(ra):
         return ra
     pruned = ra.copy()
-    pruned.kind = CircuitKind.GENERAL
-    pruned.certificate = None
     threshold = exp2(rb)
     for m in list(pruned._marks):
         single = ra.copy()

@@ -203,14 +203,17 @@ class PowerCircuit:
     # -- lifecycle ---------------------------------------------------------
 
     def copy(self) -> "PowerCircuit":
+        """Mutable general-kind copy without a certificate.
+
+        A copy can be edited, so it cannot keep a promise about the graph;
+        freeze() re-attaches a certificate only when the caller passes one.
+        """
         c = PowerCircuit()
         c._succ = {v: dict(out) for v, out in self._succ.items()}
         c._pred = {v: set(p) for v, p in self._pred.items()}
         c._marks = dict(self._marks)
         c._vars = dict(self._vars)
         c._next_id = self._next_id
-        c.kind = self.kind
-        c.certificate = self.certificate
         return c
 
     def freeze(self, kind: CircuitKind = None, certificate: Certificate = None) -> "PowerCircuit":
@@ -402,7 +405,6 @@ def standardize_inplace(c: PowerCircuit):
 def standardize(c: PowerCircuit) -> PowerCircuit:
     w = c.copy()
     standardize_inplace(w)
-    w.certificate = None
     return w.freeze(CircuitKind.STANDARD)
 
 
@@ -420,7 +422,6 @@ def marked_to_sources_inplace(c: PowerCircuit):
 def marked_to_sources(c: PowerCircuit) -> PowerCircuit:
     w = c.copy()
     marked_to_sources_inplace(w)
-    w.certificate = None
     return w.freeze(CircuitKind.GENERAL)
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a defined result, 1 when the result is Undefined (or an
 input circuit is improper), 2 for parse errors, 3 when a vertex budget is
-exceeded.
+exceeded or the input nests too deeply to process.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ def _dump_circuit(c: circ.PowerCircuit) -> str:
 
 
 def _realize_arg(expr: str, args):
-    t = termlang.parse(expr, macro_env=_parse_let(args.let))
+    env = _parse_let(args.let)
+    t = termlang.parse(expr, macro_env=env)
     if not isinstance(t, tm.Term):
         raise ParseError("expected a term, found a relation", 0)
-    return termlang.realize(t, env=_parse_let(args.let), max_vertices=args.max_vertices)
+    return termlang.realize(t, env=env, max_vertices=args.max_vertices)
 
 
 def _print_stats(c: circ.PowerCircuit, oracle_bits: int):
@@ -62,8 +63,8 @@ def _print_stats(c: circ.PowerCircuit, oracle_bits: int):
 
 
 def cmd_eval(args) -> int:
-    node = termlang.parse(args.expr, macro_env=_parse_let(args.let))
     env = _parse_let(args.let)
+    node = termlang.parse(args.expr, macro_env=env)
     if isinstance(node, tm.Formula):
         r = termlang.eval_formula(node, env, max_vertices=args.max_vertices)
         if isinstance(r, termlang.Undefined):
@@ -80,11 +81,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cmp(args) -> int:
-    node = termlang.parse(f"({args.left}) - ({args.right})",
-                          macro_env=_parse_let(args.let))
+    env = _parse_let(args.let)
+    node = termlang.parse(f"({args.left}) - ({args.right})", macro_env=env)
     if not isinstance(node, tm.Term):
         raise ParseError("cmp wants two terms", 0)
-    r = termlang.realize(node, _parse_let(args.let), max_vertices=args.max_vertices)
+    r = termlang.realize(node, env, max_vertices=args.max_vertices)
     if isinstance(r, termlang.Undefined):
         print("Undefined")
         return 1
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
         return 2
     except CircuitBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("budget exceeded: nesting too deep", file=sys.stderr)
         return 3
     except VariableCircuitError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -37,8 +37,6 @@ from .circuit import (
 )
 from .signed_binary import KeyDomain, SignedSum, compare_counted, make_compact
 
-ReductionCertificate = Certificate
-
 _VALUE_IS_ZERO = object()
 
 
@@ -57,8 +55,6 @@ class _State(KeyDomain):
 
     Digit keys are vertex ids; their order is the position in `order`.
     """
-
-    supports_carry = False
 
     def __init__(self, c: PowerCircuit, zero):
         self.c = c
@@ -247,30 +243,17 @@ class _State(KeyDomain):
             c.remove_edge(v, self.zero)
         return aux
 
-    def _reaches(self, a, b) -> bool:
-        stack = [a]
-        seen = {a}
-        while stack:
-            for t in self.c._succ[stack.pop()]:
-                if t == b:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return False
-
     def double_value(self, vi, vj):
         """Double value(vj), folding vj's old parents and marks onto vi.
 
         Precondition: value(vi) == value(vj), vi's children certified, vj's
         out-edges clean of superfluous pairs.
         """
+        # vj cannot reach vi: every certified vertex and the cleaned vj lack
+        # superfluous pairs, so each one's exponent exceeds half its largest
+        # child's value and its value exceeds every child's.  No descendant
+        # of vj can therefore share value(vj) == value(vi).
         c = self.c
-        if self._reaches(vj, vi):
-            for t in list(c._succ[vj]):
-                c.remove_edge(vj, t)
-            for t, s in c._succ[vi].items():
-                c.add_edge(vj, t, s)
         aux = self.increment_exponent(vj)
         for vk in (c._pred[vi] | c._pred[vj]) - {vi, vj}:
             sj = c._succ[vk].get(vj)
@@ -338,38 +321,8 @@ class _State(KeyDomain):
                 return None
             ds = self.digits_of(v)
 
-    def certify_readonly(self, v):
-        """Insert v into the certificate without touching the circuit.
-
-        Raises on leaves, negative exponent sums, superfluous pairs and
-        value collisions instead of rewriting them.
-        """
-        if self.c.is_leaf(v):
-            raise CircuitInvariantError("unexpected extra leaf vertex")
-        ds = self.digits_of(v)
-        if ds and ds[0][1] < 0:
-            raise CircuitInvariantError("vertex value below one")
-        sv = SignedSum(ds)
-        try:
-            found, pos = self.locate(sv)
-            if found:
-                raise CircuitInvariantError("vertex values collide")
-            bit_left = pos > 1 and self._cmp(sv, self.order[pos - 1]) == 1
-            bit_right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
-        except ValueError as e:
-            raise CircuitInvariantError(str(e)) from e
-        self.insert(v, pos, bit_left, bit_right)
-
     def certificate(self) -> Certificate:
         return Certificate(tuple(self.order), tuple(self.doubles))
-
-
-def _as_working_copy(c: PowerCircuit) -> PowerCircuit:
-    w = c.copy()
-    w._frozen = False
-    w.kind = CircuitKind.GENERAL
-    w.certificate = None
-    return w
 
 
 def _trivial_result(w: PowerCircuit, kind: CircuitKind) -> PowerCircuit:
@@ -386,7 +339,7 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
     """
     if not c.is_constant():
         raise VariableCircuitError("reduce needs a constant circuit")
-    w = _as_working_copy(c)
+    w = c.copy()
     circ.standardize_inplace(w)
     if circ.is_trivial(w):
         only = next(iter(w.vertices()))
@@ -444,7 +397,7 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
         return IMPROPER
     if circ.is_trivial(r):
         return r.copy().freeze(CircuitKind.NORMAL, r.certificate)
-    w = _as_working_copy(r)
+    w = r.copy()
     st = _state_from_certificate(w, r.certificate)
     originals = list(st.order[1:])
     for v in originals:
@@ -542,7 +495,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
         raise CertificateError("circuit is not trimmed")
     if cert.doubles and cert.doubles[0]:
         raise CertificateError("nothing can double the zero vertex")
-    st = _state_from_certificate(c.copy(), cert)
+    st = _state_from_certificate(c, cert)
     for v in cert.order[1:]:
         out = c.out_edges(v)
         if not out:
@@ -571,99 +524,3 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
         for j in range(len(mds) - 1):
             if st.is_double(mds[j][0], mds[j + 1][0]):
                 raise CertificateError("mark sum not compact")
-
-
-# -- standalone pair operations ---------------------------------------------
-
-
-def _ancestors(c: PowerCircuit, v) -> set:
-    anc = {v}
-    stack = [v]
-    while stack:
-        for u in c._pred[stack.pop()]:
-            if u not in anc:
-                anc.add(u)
-                stack.append(u)
-    return anc
-
-
-def _partial_state(w: PowerCircuit, vj) -> _State:
-    """Certify everything below vj, leaving vj and its ancestors loose.
-
-    The excluded set is upward closed, so every certified vertex only has
-    certified children.  Collisions or disorder outside the pair are
-    precondition violations and raise; nothing is rewritten.
-    """
-    exclude = _ancestors(w, vj)
-    order0 = circ.geometric_order(w)
-    included = [v for v in order0 if v not in exclude]
-    if not included or not w.is_zero_leaf(included[0]):
-        raise CircuitInvariantError("operation needs a standard-shaped circuit")
-    st = _State(w, included[0])
-    st.order = [included[0]]
-    st.rank = {included[0]: 0}
-    for v in included[1:]:
-        st.certify_readonly(v)
-    return st
-
-
-def _values_equal(c: PowerCircuit, vi, vj) -> bool:
-    """Compare two vertex values by reducing a two-mark difference circuit."""
-    d = c.copy()
-    for v in list(d.marks):
-        d.unmark(v)
-    d.set_mark(vi, 1)
-    d.set_mark(vj, -1)
-    s = sign(d)
-    if s is IMPROPER:
-        raise CircuitInvariantError("vertex values are not defined")
-    return s == 0
-
-
-def make_unreachable(c: PowerCircuit, vi, vj) -> PowerCircuit:
-    """Break any path between two equal-valued vertices, value preserving.
-
-    The vertex that reaches the other gets its out-edges replaced by copies
-    of the other's; since the values agree, nothing downstream changes.
-    """
-    if not _values_equal(c, vi, vj):
-        raise CircuitInvariantError("make_unreachable needs equal values")
-    w = _as_working_copy(c)
-    st = _State(w, None)
-    if st._reaches(vj, vi):
-        vi, vj = vj, vi
-    if st._reaches(vi, vj):
-        for t in list(w._succ[vi]):
-            w.remove_edge(vi, t)
-        for t, s in w._succ[vj].items():
-            w.add_edge(vi, t, s)
-    return w.freeze(CircuitKind.GENERAL)
-
-
-def double_vertex(c: PowerCircuit, vi, vj) -> PowerCircuit:
-    """Double value(vj), folding old uses and marks of the pair onto vi.
-
-    Needs value(vi) == value(vj), with every vertex below vj value-distinct
-    and vi not depending on vj.
-    """
-    if not _values_equal(c, vi, vj):
-        raise CircuitInvariantError("double_vertex needs equal values")
-    w = _as_working_copy(c)
-    st = _partial_state(w, vj)
-    if vi not in st.rank:
-        raise CircuitInvariantError("the twin must not depend on the doubled vertex")
-    st.cleanup_vertex(vj)
-    st.double_value(vi, vj)
-    return w.freeze(CircuitKind.GENERAL)
-
-
-def separate(c: PowerCircuit, vj):
-    """Double vj out of every value collision, trimming as it goes."""
-    w = _as_working_copy(c)
-    st = _partial_state(w, vj)
-    r = st.process_vertex(vj)
-    if r is IMPROPER:
-        return IMPROPER
-    if r is _VALUE_IS_ZERO:
-        return _trivial_result(w, CircuitKind.REDUCED)
-    return w.freeze(CircuitKind.GENERAL)

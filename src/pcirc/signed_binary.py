@@ -119,9 +119,6 @@ class SignedSum:
         return " ".join(f"{'+' if c > 0 else '-'}2^{k}" for k, c in self.digits)
 
 
-ZERO_SUM = SignedSum()
-
-
 def sum_value(s: SignedSum) -> int:
     return s.value()
 

@@ -175,8 +175,6 @@ class _Parser:
         if op in (">", ">="):
             lhs, rhs = rhs, lhs
             op = "<" if op == ">" else "<="
-        if op == "<":
-            return And(Atom(lhs, "<=", rhs), Not(Atom(lhs, "=", rhs))), oppos
         return Atom(lhs, op, rhs), oppos
 
     def parse_sum(self):
@@ -293,19 +291,26 @@ def tau(t: Term) -> PowerCircuit:
         return circ.from_integer(t.value)
     if isinstance(t, Var):
         return circ.var_circuit(t.name)
-    a = tau(t.lhs)
-    b = tau(t.rhs)
-    if isinstance(t, Add):
-        return arithmetic.add(a, b)
-    if isinstance(t, Sub):
-        return arithmetic.subtract(a, b)
-    if isinstance(t, Mul):
-        return arithmetic.multiply(a, b)
-    if isinstance(t, MulPow2):
-        return arithmetic.mul_pow2(a, b)
-    if isinstance(t, DivPow2):
-        return arithmetic.div_pow2_raw(a, b)
-    raise TypeError(f"not a term: {t!r}")
+    return _apply(t, tau(t.lhs), tau(t.rhs))
+
+
+# names, not functions: looked up on the module at call time, so a wrapper
+# installed on `arithmetic` sees every call
+_OPERATION = {
+    Add: "add",
+    Sub: "subtract",
+    Mul: "multiply",
+    MulPow2: "mul_pow2",
+    DivPow2: "div_pow2_raw",
+}
+
+
+def _apply(t: Term, a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
+    """The arithmetic operation of binary node t on operand circuits a, b."""
+    name = _OPERATION.get(type(t))
+    if name is None:
+        raise TypeError(f"not a term: {t!r}")
+    return getattr(arithmetic, name)(a, b)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -329,18 +334,7 @@ def _realize_rec(t: Term, env: dict, max_vertices: int, path: tuple) -> PowerCir
         return circ.from_integer(bound)
     a = _realize_rec(t.lhs, env, max_vertices, path + (0,))
     b = _realize_rec(t.rhs, env, max_vertices, path + (1,))
-    if isinstance(t, Add):
-        raw = arithmetic.add(a, b)
-    elif isinstance(t, Sub):
-        raw = arithmetic.subtract(a, b)
-    elif isinstance(t, Mul):
-        raw = arithmetic.multiply(a, b)
-    elif isinstance(t, MulPow2):
-        raw = arithmetic.mul_pow2(a, b)
-    elif isinstance(t, DivPow2):
-        raw = arithmetic.div_pow2_raw(a, b)
-    else:
-        raise TypeError(f"not a term: {t!r}")
+    raw = _apply(t, a, b)
     if raw.n_vertices() > max_vertices:
         raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
     r = reduction.reduce(raw)

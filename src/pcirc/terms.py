@@ -2,7 +2,7 @@
 
 Terms denote integers (partially: x*2^(-y) is undefined when the quotient
 leaves the integers).  Formulas are quantifier-free combinations of atoms
-t1 <= t2 and t1 = t2; strict < is desugared by the parser.
+t1 <= t2, t1 = t2 and t1 < t2; the parser turns >= and > around.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class DivPow2(Term):
     rhs: Term
 
 
-_BINARY = (Add, Sub, Mul, MulPow2, DivPow2)
-
-
 def term_size(t: Term) -> int:
     """Number of operations; constants and variables count zero."""
     if isinstance(t, (Const, Var)):
@@ -74,17 +71,6 @@ def term_vars(t: Term) -> frozenset:
     if isinstance(t, Var):
         return frozenset((t.name,))
     return term_vars(t.lhs) | term_vars(t.rhs)
-
-
-def subterm(t, path: tuple):
-    """Node at a path of 0/1 child indices (formulas included; 0 descends
-    into a negation)."""
-    for i in path:
-        if isinstance(t, Not):
-            t = t.sub
-        else:
-            t = t.lhs if i == 0 else t.rhs
-    return t
 
 
 def count_var(t: Term, name: str) -> int:
@@ -134,7 +120,7 @@ class Formula:
 
 @dataclass(frozen=True)
 class Atom(Formula):
-    """lhs rel rhs with rel one of '<=' '='."""
+    """lhs rel rhs with rel one of '<=' '=' '<'."""
 
     lhs: Term
     rel: str

@@ -30,6 +30,7 @@ from pcirc.circuit import (
     var_circuit,
     zero_circuit,
 )
+from pcirc.reduction import sign
 from pcirc.terms import term_vars
 
 
@@ -144,6 +145,26 @@ def test_copy_is_mutable_again():
     c = from_integer(5).copy()
     v = c.add_vertex()
     assert v in c
+
+
+def test_copy_drops_certificate():
+    three = from_integer(3)
+    c = three.copy()
+    assert c.kind is CircuitKind.GENERAL
+    assert c.certificate is None
+    # 3 = 4 - 1: rewiring the 4 to the zero leaf leaves 1 - 1
+    top = max(c.marks, key=three.certificate.rank_map().__getitem__)
+    for t in list(c.out_edges(top)):
+        c.remove_edge(top, t)
+    c.add_edge(top, c.zero_vertices()[0], 1)
+    assert eval_bignum(c) == 0
+    assert sign(c) == 0
+    d = three.copy()
+    v = d.add_vertex()
+    d.add_edge(v, d.zero_vertices()[0], 1)
+    d.set_mark(v, 1)
+    assert eval_bignum(d) == 4
+    assert sign(d) == 1
 
 
 def test_geometric_order_points_backward():

@@ -63,6 +63,15 @@ def test_eval_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_deep_nesting_exits_3(capsys):
+    code, _, err = run(capsys, "cmp", "tower(x)+1", "tower(x)", "--let", "x=1200")
+    assert code == 3
+    assert "nesting too deep" in err
+    code, _, err = run(capsys, "eval", "2^(" * 400 + "1" + ")" * 400)
+    assert code == 3
+    assert "nesting too deep" in err
+
+
 def test_cmp_tower(capsys):
     code, out, _ = run(capsys, "cmp", "tower(x)+1", "tower(x)", "--let", "x=50")
     assert (code, out.strip()) == (0, ">")

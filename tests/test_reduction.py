@@ -1,4 +1,4 @@
-"""Reduction, normal forms, sign, and the standalone pair operations."""
+"""Reduction, normal forms, sign and certificate verification."""
 
 import random
 
@@ -11,7 +11,6 @@ from pcirc import generators as gen
 from pcirc.circuit import (
     IMPROPER,
     Certificate,
-    CircuitInvariantError,
     CircuitKind,
     PowerCircuit,
     canonical_bytes,
@@ -21,11 +20,8 @@ from pcirc.circuit import (
 from pcirc.reduction import (
     ReduceStats,
     compare_circuits,
-    double_vertex,
-    make_unreachable,
     normalize,
     reduce,
-    separate,
     sign,
     verify_certificate,
 )
@@ -63,12 +59,26 @@ def test_reduce_trivial_and_zero_sum():
 
 
 def test_reduce_merges_duplicates():
-    c, _ = build([(1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 2, 1)], {3: 1, 4: 1}, 5)
-    r = reduce(c)
-    assert eval_bignum(r) == 4
-    vals = vertex_values(r)
-    assert len(set(vals.values())) == len(vals)
-    verify_certificate(r)
+    cases = [
+        ([(1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 2, 1)], {3: 1, 4: 1}, 5, 4),
+        # a vertex worth 2 that reaches its equal-valued twin through +2 -1
+        ([(1, 0, 1), (2, 1, 1), (3, 2, 1), (3, 1, -1)], {3: 1}, 4, 2),
+        ([(1, 0, 1), (2, 1, 1)], {2: 1}, 3, 2),
+        # two marked twins, then a twin with a parent of its own
+        ([(1, 0, 1), (2, 1, 1), (3, 1, 1)], {2: 1, 3: 1}, 4, 4),
+        ([(1, 0, 1), (2, 1, 1), (3, 1, 1), (4, 3, 1)], {4: 1, 3: 1}, 5, 6),
+        ([(1, 0, 1), (2, 1, -1)], {2: 1}, 3, IMPROPER),
+    ]
+    for edges, marks, n, want in cases:
+        c, _ = build(edges, marks, n)
+        r = reduce(c)
+        if want is IMPROPER:
+            assert r is IMPROPER
+            continue
+        assert eval_bignum(r) == want
+        vals = vertex_values(r)
+        assert len(set(vals.values())) == len(vals)
+        verify_certificate(r)
 
 
 def test_reduce_improper():
@@ -200,57 +210,3 @@ def test_reduce_fuzz_round():
         assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
         checked += 1
     assert checked > 200
-
-
-# standalone pair operations
-
-
-def test_make_unreachable_breaks_the_path():
-    # vj denotes 2 via +vi -u, so vj reaches its equal-valued twin
-    c, ids = build([(1, 0, 1), (2, 1, 1), (3, 2, 1), (3, 1, -1)], {3: 1}, 4)
-    vi, vj = ids[2], ids[3]
-    w = make_unreachable(c, vi, vj)
-    assert eval_bignum(w) == eval_bignum(c) == 2
-    assert vi not in w.out_edges(vj)
-
-
-def test_make_unreachable_needs_equal_values():
-    c, ids = build([(1, 0, 1), (2, 1, 1)], {2: 1}, 3)
-    with pytest.raises(CircuitInvariantError):
-        make_unreachable(c, ids[1], ids[2])
-
-
-def test_double_vertex_doubles_and_folds_marks():
-    c, ids = build([(1, 0, 1), (2, 1, 1), (3, 1, 1)], {2: 1, 3: 1}, 4)
-    w = double_vertex(c, ids[2], ids[3])
-    assert eval_bignum(w) == 4
-    vals = vertex_values(w)
-    assert vals[ids[3]] == 4
-    assert w.marks == {ids[3]: 1}
-
-
-def test_double_vertex_redirects_parents():
-    c, ids = build([(1, 0, 1), (2, 1, 1), (3, 1, 1), (4, 3, 1)], {4: 1, 3: 1}, 5)
-    w = double_vertex(c, ids[2], ids[3])
-    # the parent of the doubled vertex now feeds on the twin
-    assert ids[2] in w.out_edges(ids[4])
-    assert eval_bignum(w) == eval_bignum(c) == 6
-
-
-def test_double_vertex_rejects_dependent_twin():
-    c, ids = build([(1, 0, 1), (2, 1, 1), (3, 2, 1), (3, 1, -1)], {3: 1}, 4)
-    with pytest.raises(CircuitInvariantError):
-        double_vertex(c, ids[3], ids[2])
-
-
-def test_separate_resolves_collision():
-    c, ids = build([(1, 0, 1), (2, 1, 1), (3, 1, 1)], {2: 1, 3: 1}, 4)
-    w = separate(c, ids[3])
-    assert eval_bignum(w) == 4
-    vals = vertex_values(w)
-    assert len(set(vals.values())) == len(vals)
-
-
-def test_separate_improper():
-    c, ids = build([(1, 0, 1), (2, 1, -1)], {2: 1}, 3)
-    assert separate(c, ids[2]) is IMPROPER

@@ -153,12 +153,8 @@ def test_parse_precedence_and_associativity():
 
 def test_parse_comparison_sugar():
     assert tl.parse("x >= y") == tm.Atom(tm.Var("y"), "<=", tm.Var("x"))
-    assert tl.parse("x > y") == tm.And(
-        tm.Atom(tm.Var("y"), "<=", tm.Var("x")), tm.Not(tm.Atom(tm.Var("y"), "=", tm.Var("x")))
-    )
-    assert tl.parse("x < y") == tm.And(
-        tm.Atom(tm.Var("x"), "<=", tm.Var("y")), tm.Not(tm.Atom(tm.Var("x"), "=", tm.Var("y")))
-    )
+    assert tl.parse("x > y") == tm.Atom(tm.Var("y"), "<", tm.Var("x"))
+    assert tl.parse("x < y") == tm.Atom(tm.Var("x"), "<", tm.Var("y"))
 
 
 def test_parse_connective_precedence():
