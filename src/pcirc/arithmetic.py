@@ -15,6 +15,7 @@ the divisor (7 >> 1 keeps 8/2 and drops -1/2, giving 4, not floor(7/2)).
 
 from __future__ import annotations
 
+import bisect
 import enum
 
 from . import circuit as circ
@@ -184,15 +185,26 @@ def div_pow2(a: PowerCircuit, b: PowerCircuit, mode: DivMode = DivMode.EXACT):
         return IMPROPER
     if circ.is_trivial(ra):
         return ra
-    pruned = ra.copy()
+    # summands grow with certificate rank, so the ones below the divisor
+    # form a prefix of the marks in rank order
+    rank = ra.certificate.rank_map()
+    marks = sorted(ra._marks, key=rank.__getitem__)
     threshold = exp2(rb)
-    for m in list(pruned._marks):
+
+    def at_least_threshold(m) -> bool:
         single = ra.copy()
         for v in list(single._marks):
             single.unmark(v)
         single.set_mark(m, 1)
-        if reduction.compare_circuits(single, threshold) < 0:
-            pruned.unmark(m)
-    if not pruned._marks:
+        return reduction.compare_circuits(single, threshold) >= 0
+
+    # with N(b) < 0 the divisor is below 1, so no summand is dropped
+    keep = 0
+    if reduction.sign(rb) >= 0:
+        keep = bisect.bisect_left(marks, True, key=at_least_threshold)
+    if keep == len(marks):
         return circ.zero_circuit()
+    pruned = ra.copy()
+    for m in marks[:keep]:
+        pruned.unmark(m)
     return reduction.reduce(div_pow2_raw(pruned, rb))

@@ -449,8 +449,9 @@ def var_circuit(name: str) -> PowerCircuit:
 def from_integer(n: int) -> PowerCircuit:
     """Normal-form circuit for n with at most ceil(log2 |n|) + 2 vertices.
 
-    One vertex per power 2^0 .. 2^q for the powers the compact form of |n|
-    needs; each power vertex's own exponent is wired as its compact form.
+    One vertex 2^e for each exponent e in the compact form of |n| and,
+    transitively, in the compact forms of those exponents; each power
+    vertex's own exponent is wired as its compact form.
     """
     c = PowerCircuit()
     if n == 0:
@@ -459,17 +460,22 @@ def from_integer(n: int) -> PowerCircuit:
         return c.freeze(CircuitKind.NORMAL, Certificate((v,), ()))
     sign = 1 if n > 0 else -1
     comp = compact_of_integer(abs(n))
-    top = comp.digits[0][0]
+    exps = {}
+    todo = list(comp.exponents())
+    while todo:
+        e = todo.pop()
+        if e not in exps:
+            exps[e] = compact_of_integer(e)
+            todo.extend(exps[e].exponents())
+    kept = sorted(exps)
     z = c.add_vertex()
-    power = {e: c.add_vertex() for e in range(top + 1)}
+    power = {e: c.add_vertex() for e in kept}
     c.add_edge(power[0], z, 1)
-    for e in range(1, top + 1):
-        for q, ec in compact_of_integer(e):
+    for e in kept:
+        for q, ec in exps[e]:
             c.add_edge(power[e], power[q], ec)
     for q, ec in comp:
         c.set_mark(power[q], sign * ec)
-    trim_inplace(c)
-    kept = sorted(e for e in power if power[e] in c)
     order = (z,) + tuple(power[e] for e in kept)
     doubles = (False,) + tuple(kept[i + 1] == kept[i] + 1 for i in range(len(kept) - 1))
     return c.freeze(CircuitKind.NORMAL, Certificate(order, doubles))

@@ -14,6 +14,15 @@ which keeps the output within one vertex of the input.
 Everything value-ordered here is proper: the sweep aborts with IMPROPER as
 soon as a vertex's exponent sum turns out negative.
 
+Dead vertices are trimmed once, after the sweep, never during it.  Surgery
+on the vertex being processed rewires only edges out of it and out of its
+unprocessed parents, and moves only its own mark and its twin's, so no other
+vertex changes value, and no unprocessed vertex loses an in-edge or a mark.
+A vertex that dies mid-sweep is therefore a certified key whose value is
+still correct, or the processed vertex itself, which is then left out of the
+certificate.  A dead key stays a valid comparison target, and a later twin
+that folds into it brings it back to life.
+
 Normalization stacks three passes on a reduced circuit: give every vertex a
 doubling partner, rewrite every exponent sum and the mark sum into compact
 form, and trim.  Normal circuits are canonical: equal value implies equal
@@ -103,38 +112,10 @@ class _State(KeyDomain):
             self.doubles.insert(pos, bit_right)
         self._rebuild_ranks(pos)
 
-    def remove(self, v):
-        pos = self.rank.pop(v)
-        self.order.pop(pos)
-        n = len(self.order)
-        if pos == n:
-            if self.doubles:
-                self.doubles.pop()
-        elif pos == 0:
-            self.doubles.pop(0)
-        else:
-            # values strictly increase, so with a former value strictly in
-            # between the survivors can never be doubles of each other
-            self.doubles[pos - 1 : pos + 1] = [False]
-        self._rebuild_ranks(pos)
-        if v == self.zero:
-            self.zero = None
-
     def unit_vertex(self):
         if len(self.order) > 1 and self.is_unit(self.order[1]):
             return self.order[1]
         return None
-
-    def ensure_zero(self):
-        if self.zero is not None and self.zero in self.c._succ:
-            return self.zero
-        z = self.c.add_vertex()
-        self.zero = z
-        self.order.insert(0, z)
-        if len(self.order) >= 2:
-            self.doubles.insert(0, False)
-        self._rebuild_ranks(0)
-        return z
 
     # digit views
 
@@ -169,7 +150,7 @@ class _State(KeyDomain):
         """Strip redundant zero edges and superfluous out-edge pairs of v."""
         c = self.c
         out = c._succ[v]
-        if self.zero is not None and self.zero in out and len(out) > 1:
+        if self.zero in out and len(out) > 1:
             c.remove_edge(v, self.zero)
         ds = self.digits_of(v)
         i = 0
@@ -185,7 +166,7 @@ class _State(KeyDomain):
             else:
                 i += 1
         if not c._succ[v]:
-            c.add_edge(v, self.ensure_zero(), 1)
+            c.add_edge(v, self.zero, 1)
 
     def increment_exponent(self, v):
         """Add one to v's exponent sum by local edge surgery.
@@ -201,7 +182,7 @@ class _State(KeyDomain):
         if unit is not None and out.get(unit) == -1:
             c.remove_edge(v, unit)
             if not out:
-                c.add_edge(v, self.ensure_zero(), 1)
+                c.add_edge(v, self.zero, 1)
             return None
         chain = []
         t = unit
@@ -221,7 +202,7 @@ class _State(KeyDomain):
             n = len(chain)
             aux = c.add_vertex()
             if n == 0:
-                c.add_edge(aux, self.ensure_zero(), 1)
+                c.add_edge(aux, self.zero, 1)
                 bit_right = False
                 if len(self.order) > 1:
                     bit_right = self._cmp(SignedSum(), self.order[1]) == -1
@@ -239,7 +220,7 @@ class _State(KeyDomain):
                 bit_right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
                 self.insert(aux, pos, True, bit_right)
             c.add_edge(v, aux, 1)
-        if self.zero is not None and self.zero in out and len(out) > 1:
+        if self.zero in out and len(out) > 1:
             c.remove_edge(v, self.zero)
         return aux
 
@@ -284,18 +265,6 @@ class _State(KeyDomain):
         self.doublings += 1
         return aux
 
-    def trim_update(self) -> bool:
-        """Drop mark-unreachable vertices; False when no marks remain."""
-        c = self.c
-        if not c._marks:
-            return False
-        keep = circ.reachable_from_marks(c)
-        for v in [v for v in c._succ if v not in keep]:
-            c.remove_vertex(v)
-            if v in self.rank:
-                self.remove(v)
-        return True
-
     def process_vertex(self, v):
         """Clean, place or separate one vertex; certifies it on success.
 
@@ -315,14 +284,25 @@ class _State(KeyDomain):
                 return None
             self.double_value(self.order[pos], v)
             self.separations += 1
-            if not self.trim_update():
+            if not self.c._marks:
                 return _VALUE_IS_ZERO
-            if v not in self.c._succ:
-                return None
+            if not self.c._pred[v] and v not in self.c._marks:
+                return None  # dead; the final trim drops it
             ds = self.digits_of(v)
 
-    def certificate(self) -> Certificate:
-        return Certificate(tuple(self.order), tuple(self.doubles))
+    def trim(self) -> Certificate:
+        """Drop mark-unreachable vertices; the survivors' certificate.
+
+        Survivors that were neighbours keep their doubling bit.  Any other
+        pair had a power of two strictly between them, so it is at least a
+        factor 4 apart and gets False.
+        """
+        circ.trim_inplace(self.c)
+        kept = [i for i, v in enumerate(self.order) if v in self.c._succ]
+        return Certificate(
+            tuple(self.order[i] for i in kept),
+            tuple(j == i + 1 and self.doubles[i] for i, j in zip(kept, kept[1:])),
+        )
 
 
 def _trivial_result(w: PowerCircuit, kind: CircuitKind) -> PowerCircuit:
@@ -354,8 +334,6 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
     st.rank = {order0[0]: 0, order0[1]: 1}
     result = None
     for v in order0[2:]:
-        if v not in w._succ:
-            continue
         r = st.process_vertex(v)
         if r is IMPROPER:
             result = IMPROPER
@@ -371,13 +349,11 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
         return IMPROPER
     if result is _VALUE_IS_ZERO:
         return _trivial_result(w, CircuitKind.REDUCED)
-    st.trim_update()
-    return w.freeze(CircuitKind.REDUCED, st.certificate())
+    return w.freeze(CircuitKind.REDUCED, st.trim())
 
 
 def _state_from_certificate(w: PowerCircuit, cert: Certificate) -> _State:
-    zero = cert.order[0]
-    st = _State(w, zero if w.is_zero_leaf(zero) else None)
+    st = _State(w, cert.order[0])
     st.order = list(cert.order)
     st.doubles = list(cert.doubles)
     st.rank = {v: i for i, v in enumerate(st.order)}
@@ -426,8 +402,8 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
                 w.add_edge(v, t, s)
             if not comp:
                 if st.zero not in w._succ[v]:
-                    w.add_edge(v, st.ensure_zero(), 1)
-            elif st.zero is not None and st.zero in w._succ[v]:
+                    w.add_edge(v, st.zero, 1)
+            elif st.zero in w._succ[v]:
                 w.remove_edge(v, st.zero)
     mds = sorted(w._marks.items(), key=lambda m: st.rank[m[0]], reverse=True)
     comp = make_compact(SignedSum(mds), st)
@@ -438,8 +414,7 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
             w.set_mark(v, s)
     if not w._marks:
         return _trivial_result(w, CircuitKind.NORMAL)
-    st.trim_update()
-    return w.freeze(CircuitKind.NORMAL, st.certificate())
+    return w.freeze(CircuitKind.NORMAL, st.trim())
 
 
 # -- queries ----------------------------------------------------------------

@@ -4,8 +4,9 @@ A sum is a sequence of digits (key, coeff) with coeff in {-1, +1} and keys
 strictly decreasing, most significant first.  A key names a power of two.
 For plain integers the key is the exponent itself; the circuit reducer
 substitutes its own key type (graph vertices ordered by a certificate) and
-answers order and doubling queries through a KeyDomain.  Everything here is
-written against that interface so both instantiations share one code path.
+answers order and doubling queries through a KeyDomain.  The comparison and
+the rewrites are written against that interface so both instantiations share
+one code path; reduce_sum and the value helpers take integer keys only.
 
 Shapes of interest:
 
@@ -23,7 +24,6 @@ reducer compare doubly exponential quantities in polynomial time.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 
@@ -33,9 +33,6 @@ class KeyDomain:
     weight(k) below refers to the power of two a key stands for; domains do
     not expose weights, only these predicates.
     """
-
-    #: whether reduce_sum may merge equal keys by carrying into successor keys
-    supports_carry = False
 
     def compare_keys(self, a, b) -> int:
         """-1, 0, +1 as weight(a) is below, at, or above weight(b)."""
@@ -56,8 +53,6 @@ class KeyDomain:
 
 class IntegerKeys(KeyDomain):
     """Keys are the exponents themselves."""
-
-    supports_carry = True
 
     def compare_keys(self, a: int, b: int) -> int:
         return (a > b) - (a < b)
@@ -123,50 +118,39 @@ def sum_value(s: SignedSum) -> int:
     return s.value()
 
 
-def reduce_sum(pairs: Iterable[Digit], domain: KeyDomain = INT_KEYS) -> SignedSum:
-    """Sort digits and merge equal keys so keys end up strictly decreasing.
+def reduce_sum(pairs: Iterable[Digit]) -> SignedSum:
+    """Sort integer-key digits and merge equal keys so keys end up strictly
+    decreasing.
 
     Equal keys with cancelling coefficients vanish; equal signs carry into the
-    successor key.  Carrying is only defined for integer keys; abstract-key
-    callers must supply distinct keys.
+    next key.
     """
-    if domain.supports_carry:
-        counts: dict = {}
-        for k, c in pairs:
-            counts[k] = counts.get(k, 0) + c
-        # ascending sweep; a carry lands on the successor key, which is never
-        # below the next unprocessed key, so the stack stays sorted
-        stack = sorted(counts, reverse=True)
-        out = []
-        while stack:
-            k = stack.pop()
-            t = counts.pop(k)
-            if t == 0:
-                continue
-            r = t % 2
-            if r == 1 and t < 0:
-                r = -1
-            if r:
-                out.append((k, r))
-            a = (t - r) // 2
-            if a:
-                nk = domain.successor(k)
-                if nk in counts:
-                    counts[nk] += a
-                else:
-                    counts[nk] = a
-                    stack.append(nk)
-        out.reverse()
-        return SignedSum(out)
-    digits = sorted(pairs, key=_key_sorter(domain), reverse=True)
-    for i in range(len(digits) - 1):
-        if domain.compare_keys(digits[i][0], digits[i + 1][0]) == 0:
-            raise ValueError("duplicate keys are not reducible in this domain")
-    return SignedSum(digits)
-
-
-def _key_sorter(domain: KeyDomain):
-    return functools.cmp_to_key(lambda a, b: domain.compare_keys(a[0], b[0]))
+    counts: dict = {}
+    for k, c in pairs:
+        counts[k] = counts.get(k, 0) + c
+    # ascending sweep; a carry lands on the next key, which is never below
+    # the next unprocessed key, so the stack stays sorted
+    stack = sorted(counts, reverse=True)
+    out = []
+    while stack:
+        k = stack.pop()
+        t = counts.pop(k)
+        if t == 0:
+            continue
+        r = t % 2
+        if r == 1 and t < 0:
+            r = -1
+        if r:
+            out.append((k, r))
+        a = (t - r) // 2
+        if a:
+            if k + 1 in counts:
+                counts[k + 1] += a
+            else:
+                counts[k + 1] = a
+                stack.append(k + 1)
+    out.reverse()
+    return SignedSum(out)
 
 
 def remove_superfluous(s: SignedSum, domain: KeyDomain = INT_KEYS) -> SignedSum:
@@ -321,15 +305,14 @@ def make_compact(s: SignedSum, domain: KeyDomain = INT_KEYS) -> SignedSum:
 
 
 def compact_of_integer(n: int) -> SignedSum:
-    """Compact signed-binary digits of n (integer keys)."""
-    digits = []
-    k = 0
-    while n:
-        if n & 1:
-            d = 2 - (n & 3)  # 1 mod 4 -> +1, 3 mod 4 -> -1
-            digits.append((k, d))
-            n -= d
-        n >>= 1
-        k += 1
-    digits.reverse()
-    return SignedSum(digits)
+    """Compact signed-binary digits of n (integer keys): the non-adjacent
+    form, with a digit at k where bit k + 1 of 3n ^ n is set, + where 3n's is."""
+    nz = (3 * n ^ n) >> 1
+    bits = format(nz, "b")
+    plus = format((3 * n >> 1) & nz, "b").zfill(len(bits))
+    top = len(bits) - 1
+    return SignedSum(
+        (top - i, 1 if p == "1" else -1)
+        for i, (b, p) in enumerate(zip(bits, plus))
+        if b == "1"
+    )

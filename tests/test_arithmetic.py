@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pcirc import arithmetic as ar
 from pcirc import circuit as circ
 from pcirc import generators as gen
+from pcirc import reduction
 from pcirc.arithmetic import (
     DivMode,
     add,
@@ -28,6 +29,7 @@ from pcirc.circuit import (
     var_circuit,
 )
 from pcirc.reduction import normalize, reduce, sign
+from pcirc.signed_binary import compact_of_integer
 
 
 def binary_marks(n):
@@ -156,6 +158,27 @@ def test_div_drop_depends_on_mark_representation():
     assert eval_bignum(div_pow2(from_integer(3), from_integer(1), DivMode.DROP)) == 2
     # 7 as +8 -1: dropping the -1 summand yields 8/2 = 4, not floor(7/2)
     assert eval_bignum(div_pow2(from_integer(7), from_integer(1), DivMode.DROP)) == 4
+    # a negative divisor exponent shifts left and drops nothing
+    assert eval_bignum(div_pow2(from_integer(3), from_integer(-2), DivMode.DROP)) == 12
+
+
+def test_div_drop_searches_the_marks(monkeypatch):
+    # one reduction per marked summand would make hundreds of calls here
+    n = random.Random(1024).getrandbits(1024) | 1 << 1023
+    a = from_integer(n)
+    assert len(a.marks) > 300
+    calls = []
+    real = reduction.reduce
+
+    def counting(c, stats=None):
+        calls.append(c)
+        return real(c, stats)
+
+    monkeypatch.setattr(reduction, "reduce", counting)
+    d = div_pow2(a, from_integer(300), DivMode.DROP)
+    assert len(calls) <= 16
+    want = sum(s << (e - 300) for e, s in compact_of_integer(n) if e >= 300)
+    assert eval_bignum(d) == want
 
 
 def test_div_drop_is_floor_for_single_sign_marks():

@@ -30,7 +30,7 @@ from pcirc.circuit import (
     var_circuit,
     zero_circuit,
 )
-from pcirc.reduction import sign
+from pcirc.reduction import sign, verify_certificate
 from pcirc.terms import term_vars
 
 
@@ -185,9 +185,12 @@ def test_from_integer_size_bound_and_value():
 
 
 def test_from_integer_certified_normal():
-    c = from_integer(100)
-    assert c.kind is CircuitKind.NORMAL
-    assert c.certificate is not None
+    # 100, then a 2048-bit and a negative 8192-bit number
+    for n in (100, 3**1292, -(2**8191 + 3**5000)):
+        c = from_integer(n)
+        assert c.kind is CircuitKind.NORMAL
+        verify_certificate(c, require_normal=True)
+        assert eval_bignum(c) == n
 
 
 @given(st.integers(-(2**64), 2**64))

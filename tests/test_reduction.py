@@ -103,6 +103,56 @@ def test_reduce_creates_at_most_one_vertex():
     verify_certificate(r)
 
 
+def positive_dag(rng, n):
+    """Random dag with every edge and mark +1, so every value is proper."""
+    c = PowerCircuit()
+    vs = [c.add_vertex()]
+    for _ in range(1, n):
+        v = c.add_vertex()
+        for t in rng.sample(vs, min(rng.choice([1, 1, 2, 2, 3]), len(vs))):
+            c.add_edge(v, t, 1)
+        vs.append(v)
+    for v in rng.sample(vs, rng.randint(1, max(1, n // 3))):
+        c.set_mark(v, 1)
+    return c
+
+
+def relabel(c):
+    """The same circuit with vertex ids reversed, so it sweeps in another order."""
+    w = PowerCircuit()
+    m = {v: w.add_vertex() for v in sorted(c.vertices(), reverse=True)}
+    for v in c.vertices():
+        for t, s in c.out_edges(v).items():
+            w.add_edge(m[v], m[t], s)
+    for v, s in c.marks.items():
+        w.set_mark(m[v], s)
+    return w
+
+
+def test_reduce_cancelling_circuits():
+    # differences of equal parts separate at almost every vertex, so many
+    # vertices die during the sweep and only the final trim removes them
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(30):
+        c = positive_dag(rng, rng.randint(5, 40))
+        cases.append((ar.subtract(c, relabel(c)), 0))
+        cases.append((ar.subtract(ar.add(c, from_integer(1)), relabel(c)), 1))
+    for _ in range(20):
+        n, a, b = rng.randint(1, 40), rng.randint(0, 300), rng.randint(0, 300)
+        t = gen.tower_circuit(n)
+        diff = ar.subtract(ar.add(t, from_integer(a)), ar.add(t, from_integer(b)))
+        cases.append((diff, a - b))
+    for c, want in cases:
+        assert sign(c) == (want > 0) - (want < 0)
+        r = reduce(c)
+        verify_certificate(r)
+        assert r.n_vertices() <= circ.standardize(c).n_vertices() + 1
+        nf = normalize(c)
+        verify_certificate(nf, require_normal=True)
+        assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
+
+
 def test_reduce_stats_counts_work():
     c, _ = build([(1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 2, 1)], {3: 1, 4: 1}, 5)
     stats = ReduceStats()
