@@ -185,9 +185,6 @@ class PowerCircuit:
     def size(self) -> int:
         return self.n_vertices() + self.n_edges()
 
-    def is_leaf(self, v: int) -> bool:
-        return not self._succ[v]
-
     def var_of(self, v: int):
         return self._vars.get(v)
 
@@ -551,50 +548,48 @@ def from_json_dict(doc: dict) -> PowerCircuit:
     c = PowerCircuit()
     try:
         ids = [int(v["id"]) for v in doc["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise CircuitInvariantError(f"malformed circuit document: {exc}") from exc
-    if len(set(ids)) != len(ids):
-        raise CircuitInvariantError("duplicate vertex ids")
-    labels = {}
-    for entry in doc["vertices"]:
-        v = int(entry["id"])
-        label = entry.get("label")
-        c._succ[v] = {}
-        c._pred[v] = set()
-        labels[v] = label
-        if isinstance(label, dict) and "var" in label:
-            c._vars[v] = str(label["var"])
-    c._next_id = max(ids, default=-1) + 1
-    for e in doc.get("edges", ()):
-        c.add_edge(int(e["from"]), int(e["to"]), int(e["sign"]))
-    for m in doc.get("marks", ()):
-        c.set_mark(int(m["vertex"]), int(m["sign"]))
-    for v, label in labels.items():
-        if label == "zero" and c._succ[v]:
-            raise CircuitInvariantError(f"zero vertex {v} has edges")
-        if label is None and not c._succ[v]:
-            raise CircuitInvariantError(f"leaf vertex {v} needs a label")
-    c.validate()
-    try:
+        if len(set(ids)) != len(ids):
+            raise CircuitInvariantError("duplicate vertex ids")
+        labels = {}
+        for entry in doc["vertices"]:
+            v = int(entry["id"])
+            label = entry.get("label")
+            c._succ[v] = {}
+            c._pred[v] = set()
+            labels[v] = label
+            if isinstance(label, dict) and "var" in label:
+                c._vars[v] = str(label["var"])
+        c._next_id = max(ids, default=-1) + 1
+        for e in doc.get("edges", ()):
+            c.add_edge(int(e["from"]), int(e["to"]), int(e["sign"]))
+        for m in doc.get("marks", ()):
+            c.set_mark(int(m["vertex"]), int(m["sign"]))
+        for v, label in labels.items():
+            if label == "zero" and c._succ[v]:
+                raise CircuitInvariantError(f"zero vertex {v} has edges")
+            if label is None and not c._succ[v]:
+                raise CircuitInvariantError(f"leaf vertex {v} needs a label")
+        c.validate()
         kind = CircuitKind(doc.get("kind", CircuitKind.GENERAL.value))
-    except ValueError as exc:
-        raise CircuitInvariantError(f"unknown circuit kind: {exc}") from None
-    cert_doc = doc.get("certificate")
-    if (cert_doc is None) != (kind is CircuitKind.GENERAL):
-        raise CertificateError("reduced and normal circuits carry a certificate, "
-                               "general ones do not")
-    if cert_doc is not None:
+        cert_doc = doc.get("certificate")
+        if (cert_doc is None) != (kind is CircuitKind.GENERAL):
+            raise CertificateError("reduced and normal circuits carry a certificate, "
+                                   "general ones do not")
+        if cert_doc is None:
+            return c
         order = tuple(int(v) for v in cert_doc["order"])
         doubles = tuple(ch == "1" for ch in cert_doc["doubles"])
-        if sorted(order) != sorted(ids) or len(doubles) != max(len(order) - 1, 0):
-            raise CertificateError("certificate does not cover the vertex set")
-        c.certificate = Certificate(order, doubles)
-        # a certified claim is re-checked, not trusted
-        from . import reduction
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CircuitInvariantError(
+            f"malformed circuit document: {type(exc).__name__}: {exc}") from exc
+    if sorted(order) != sorted(ids) or len(doubles) != max(len(order) - 1, 0):
+        raise CertificateError("certificate does not cover the vertex set")
+    c.certificate = Certificate(order, doubles)
+    # a certified claim is re-checked, not trusted
+    from . import reduction
 
-        reduction.verify_certificate(c, require_normal=kind is CircuitKind.NORMAL)
-        return c.freeze(kind, c.certificate)
-    return c
+    reduction.verify_certificate(c, require_normal=kind is CircuitKind.NORMAL)
+    return c.freeze(kind, c.certificate)
 
 
 def from_json(text: str) -> PowerCircuit:

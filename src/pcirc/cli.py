@@ -37,8 +37,10 @@ def _parse_let(pairs):
 
 
 def _load_circuit(path: str) -> circ.PowerCircuit:
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    return circ.from_json_dict(json.loads(data))
+    if path == "-":
+        return circ.from_json(sys.stdin.read())
+    with open(path) as f:
+        return circ.from_json(f.read())
 
 
 def _dump_circuit(c: circ.PowerCircuit) -> str:
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     except VariableCircuitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, circ.CircuitError, OSError) as e:
+    except (circ.CircuitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

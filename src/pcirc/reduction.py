@@ -11,6 +11,13 @@ doubled (exponent + 1, with its old parents and marks merged into the twin)
 until it fits a free slot; at most one helper vertex per separation appears,
 which keeps the output within one vertex of the input.
 
+Each vertex costs one binary search.  Its last compares against the new
+neighbours already give both doubling bits of the slot.  After a doubling
+the vertex is worth exactly twice its twin, so the certificate names its
+next slot without a new search: it meets the twin's doubling partner, or
+it takes the free slot just above the twin, where only the right bit needs
+a compare.
+
 Everything value-ordered here is proper: the sweep aborts with IMPROPER as
 soon as a vertex's exponent sum turns out negative.
 
@@ -65,15 +72,13 @@ class _State(KeyDomain):
     Digit keys are vertex ids; their order is the position in `order`.
     """
 
-    def __init__(self, c: PowerCircuit, zero):
+    def __init__(self, c: PowerCircuit, order, doubles, stats: ReduceStats | None = None):
         self.c = c
-        self.zero = zero
-        self.order: list = []
-        self.doubles: list = []
-        self.rank: dict = {}
-        self.ops = 0
-        self.doublings = 0
-        self.separations = 0
+        self.zero = order[0]
+        self.order = list(order)
+        self.doubles = list(doubles)
+        self.rank = {v: i for i, v in enumerate(self.order)}
+        self.stats = ReduceStats() if stats is None else stats
 
     # KeyDomain over vertex ids
 
@@ -91,10 +96,17 @@ class _State(KeyDomain):
         return len(out) == 1 and self.zero in out
 
     def successor(self, v):
-        r = self.rank[v]
-        if r + 1 < len(self.order) and self.doubles[r]:
-            return self.order[r + 1]
-        raise CertificateError("no doubling partner available for carry")
+        p = self.partner(v)
+        if p is None:
+            raise CertificateError("no doubling partner available for carry")
+        return p
+
+    def partner(self, v):
+        """The vertex worth 2 * value(v), or None."""
+        r = self.rank[v] + 1
+        if r < len(self.order) and self.doubles[r - 1]:
+            return self.order[r]
+        return None
 
     # certificate maintenance
 
@@ -112,10 +124,12 @@ class _State(KeyDomain):
             self.doubles.insert(pos, bit_right)
         self._rebuild_ranks(pos)
 
-    def unit_vertex(self):
-        if len(self.order) > 1 and self.is_unit(self.order[1]):
-            return self.order[1]
-        return None
+    def insert_above(self, v, u):
+        """Insert v, worth 2 * value(u), into the free slot just above u."""
+        pos = self.rank[u] + 1
+        right = pos < len(self.order) and self._cmp(
+            SignedSum(self.digits_of(v)), self.order[pos]) == -1
+        self.insert(v, pos, True, right)
 
     # digit views
 
@@ -127,22 +141,28 @@ class _State(KeyDomain):
 
     def _cmp(self, sv: SignedSum, u) -> int:
         r, it = compare_counted(sv, SignedSum(self.digits_of(u)), self)
-        self.ops += it
+        self.stats.ops += it
         return r
 
     def locate(self, sv: SignedSum):
-        """(True, rank-of-equal) or (False, insertion rank}."""
+        """(rank, None) when order[rank] has sv's value, else (insertion
+        rank, (bit_left, bit_right)).
+
+        The search compared sv with both new neighbours last, so those
+        compares already say whether each is an exact half or double.
+        """
         lo, hi = 1, len(self.order)
+        left = right = False
         while lo < hi:
             mid = (lo + hi) // 2
             r = self._cmp(sv, self.order[mid])
             if r == 0:
-                return True, mid
+                return mid, None
             if r < 0:
-                hi = mid
+                hi, right = mid, r == -1
             else:
-                lo = mid + 1
-        return False, lo
+                lo, left = mid + 1, r == 1
+        return lo, (left, right)
 
     # local rewriting
 
@@ -162,7 +182,7 @@ class _State(KeyDomain):
                 c.remove_edge(v, k1)
                 c.add_edge(v, k1, c0)
                 ds[i : i + 2] = [(k1, c0)]
-                self.ops += 1
+                self.stats.ops += 1
             else:
                 i += 1
         if not c._succ[v]:
@@ -178,8 +198,13 @@ class _State(KeyDomain):
         """
         c = self.c
         out = c._succ[v]
-        unit = self.unit_vertex()
-        if unit is not None and out.get(unit) == -1:
+        # a standard circuit's first vertex after the zero points only at
+        # the zero, and every vertex worth more than 1 reaches one worth 1,
+        # so a certificate that has anything to double holds the unit
+        unit = self.order[1]
+        if not self.is_unit(unit):
+            raise CircuitInvariantError("certificate lacks the unit vertex")
+        if out.get(unit) == -1:
             c.remove_edge(v, unit)
             if not out:
                 c.add_edge(v, self.zero, 1)
@@ -188,37 +213,25 @@ class _State(KeyDomain):
         t = unit
         while t is not None and out.get(t) == 1:
             chain.append(t)
-            r = self.rank[t]
-            t = self.order[r + 1] if r + 1 < len(self.order) and self.doubles[r] else None
+            t = self.partner(t)
         for u in chain:
             c.remove_edge(v, u)
-            self.ops += 1
+            self.stats.ops += 1
         aux = None
         if t is not None:
             if out.get(t) == -1:
                 raise CircuitInvariantError("superfluous pair fed to doubling")
             c.add_edge(v, t, 1)
         else:
-            n = len(chain)
             aux = c.add_vertex()
-            if n == 0:
-                c.add_edge(aux, self.zero, 1)
-                bit_right = False
-                if len(self.order) > 1:
-                    bit_right = self._cmp(SignedSum(), self.order[1]) == -1
-                self.insert(aux, 1, False, bit_right)
-            else:
-                k = 0
-                m = n
-                while m:
-                    if m & 1:
-                        c.add_edge(aux, chain[k], 1)
-                    m >>= 1
-                    k += 1
-                pos = self.rank[chain[-1]] + 1
-                sv = SignedSum(self.digits_of(aux))
-                bit_right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
-                self.insert(aux, pos, True, bit_right)
+            k = 0
+            m = len(chain)
+            while m:
+                if m & 1:
+                    c.add_edge(aux, chain[k], 1)
+                m >>= 1
+                k += 1
+            self.insert_above(aux, chain[-1])
             c.add_edge(v, aux, 1)
         if self.zero in out and len(out) > 1:
             c.remove_edge(v, self.zero)
@@ -233,13 +246,13 @@ class _State(KeyDomain):
         # vj cannot reach vi: every certified vertex and the cleaned vj lack
         # superfluous pairs, so each one's exponent exceeds half its largest
         # child's value and its value exceeds every child's.  No descendant
-        # of vj can therefore share value(vj) == value(vi).
+        # of vj can therefore share value(vj) == value(vi).  Nor is vi a
+        # parent of vj: vi is certified, and a certified vertex never gains
+        # an out-edge to an unprocessed one.  So only vj's parents rewire.
         c = self.c
         aux = self.increment_exponent(vj)
-        for vk in (c._pred[vi] | c._pred[vj]) - {vi, vj}:
-            sj = c._succ[vk].get(vj)
-            if sj is None:
-                continue
+        for vk in list(c._pred[vj]):
+            sj = c._succ[vk][vj]
             si = c._succ[vk].get(vi)
             if si is None:
                 c.remove_edge(vk, vj)
@@ -249,7 +262,7 @@ class _State(KeyDomain):
             else:
                 c.remove_edge(vk, vi)
                 c.remove_edge(vk, vj)
-            self.ops += 1
+            self.stats.ops += 1
         mi = c._marks.get(vi)
         mj = c._marks.get(vj)
         if mj is not None:
@@ -262,7 +275,7 @@ class _State(KeyDomain):
                 c.unmark(vi)
                 c.unmark(vj)
         self.cleanup_vertex(vj)
-        self.doublings += 1
+        self.stats.doublings += 1
         return aux
 
     def process_vertex(self, v):
@@ -274,21 +287,25 @@ class _State(KeyDomain):
         ds = self.digits_of(v)
         if ds and ds[0][1] < 0:
             return IMPROPER
+        pos, bits = self.locate(SignedSum(ds))
+        if bits is not None:
+            self.insert(v, pos, *bits)
+            return None
+        # once doubled, v is worth twice its twin vi: it meets vi's doubling
+        # partner, or it takes the free slot just above vi
+        vi = self.order[pos]
         while True:
-            found, pos = self.locate(SignedSum(ds))
-            if not found:
-                sv = SignedSum(ds)
-                bit_left = pos > 1 and self._cmp(sv, self.order[pos - 1]) == 1
-                bit_right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
-                self.insert(v, pos, bit_left, bit_right)
-                return None
-            self.double_value(self.order[pos], v)
-            self.separations += 1
+            self.double_value(vi, v)
+            self.stats.separations += 1
             if not self.c._marks:
                 return _VALUE_IS_ZERO
             if not self.c._pred[v] and v not in self.c._marks:
                 return None  # dead; the final trim drops it
-            ds = self.digits_of(v)
+            twin = self.partner(vi)
+            if twin is None:
+                self.insert_above(v, vi)
+                return None
+            vi = twin
 
     def trim(self) -> Certificate:
         """Drop mark-unreachable vertices; the survivors' certificate.
@@ -325,39 +342,16 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
         only = next(iter(w.vertices()))
         return w.freeze(CircuitKind.REDUCED, Certificate((only,), ()))
     order0 = circ.geometric_order(w)
-    zero = order0[0]
-    if not w.is_zero_leaf(zero):
+    if not w.is_zero_leaf(order0[0]):
         raise CircuitInvariantError("standard circuit must start at its zero")
-    st = _State(w, zero)
-    st.order = [order0[0], order0[1]]
-    st.doubles = [False]
-    st.rank = {order0[0]: 0, order0[1]: 1}
-    result = None
+    st = _State(w, order0[:2], [False], stats)
     for v in order0[2:]:
         r = st.process_vertex(v)
         if r is IMPROPER:
-            result = IMPROPER
-            break
+            return IMPROPER
         if r is _VALUE_IS_ZERO:
-            result = _VALUE_IS_ZERO
-            break
-    if stats is not None:
-        stats.ops += st.ops
-        stats.doublings += st.doublings
-        stats.separations += st.separations
-    if result is IMPROPER:
-        return IMPROPER
-    if result is _VALUE_IS_ZERO:
-        return _trivial_result(w, CircuitKind.REDUCED)
+            return _trivial_result(w, CircuitKind.REDUCED)
     return w.freeze(CircuitKind.REDUCED, st.trim())
-
-
-def _state_from_certificate(w: PowerCircuit, cert: Certificate) -> _State:
-    st = _State(w, cert.order[0])
-    st.order = list(cert.order)
-    st.doubles = list(cert.doubles)
-    st.rank = {v: i for i, v in enumerate(st.order)}
-    return st
 
 
 def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
@@ -374,11 +368,9 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
     if circ.is_trivial(r):
         return r.copy().freeze(CircuitKind.NORMAL, r.certificate)
     w = r.copy()
-    st = _state_from_certificate(w, r.certificate)
-    originals = list(st.order[1:])
-    for v in originals:
-        rk = st.rank[v]
-        if rk + 1 < len(st.order) and st.doubles[rk]:
+    st = _State(w, r.certificate.order, r.certificate.doubles)
+    for v in list(st.order[1:]):
+        if st.partner(v) is not None:
             continue
         d = w.add_vertex()
         for t, s in w._succ[v].items():
@@ -388,10 +380,7 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
             raise CircuitInvariantError("doubling partner construction recursed")
         # the carry may leave -2^(k+1) +2^k adjacent in d's digits
         st.cleanup_vertex(d)
-        pos = st.rank[v] + 1
-        sv = SignedSum(st.digits_of(d))
-        bit_right = pos < len(st.order) and st._cmp(sv, st.order[pos]) == -1
-        st.insert(d, pos, True, bit_right)
+        st.insert_above(d, v)
     for v in list(st.order[1:]):
         ds = st.digits_of(v)
         comp = make_compact(SignedSum(ds), st)
@@ -432,9 +421,8 @@ def sign(c: PowerCircuit, stats: ReduceStats | None = None):
             return IMPROPER
     if circ.is_trivial(c):
         return 0
-    rank = c.certificate.rank_map()
-    top = max(c.marks, key=rank.__getitem__)
-    return c.marks[top]
+    marks = c.marks
+    return next(marks[v] for v in reversed(c.certificate.order) if v in marks)
 
 
 def compare_circuits(a: PowerCircuit, b: PowerCircuit, stats: ReduceStats | None = None):
@@ -470,7 +458,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
         raise CertificateError("circuit is not trimmed")
     if cert.doubles and cert.doubles[0]:
         raise CertificateError("nothing can double the zero vertex")
-    st = _state_from_certificate(c, cert)
+    st = _State(c, cert.order, cert.doubles)
     for v in cert.order[1:]:
         out = c.out_edges(v)
         if not out:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import io
 import json
 
 import pytest
@@ -108,12 +109,29 @@ def test_normalize_improper(tmp_path, capsys):
     assert "Improper" in err
 
 
-def test_normalize_rejects_garbage(tmp_path, capsys):
+def test_normalize_rejects_garbage(tmp_path, capsys, monkeypatch):
+    one = {"kind": "general", "vertices": [{"id": 0, "label": "zero"}, {"id": 1}],
+           "edges": [{"from": 1, "to": 0, "sign": 1}], "marks": [{"vertex": 1, "sign": 1}]}
+    # each breaks one thing: an edge without "to", a mark without "sign", a
+    # certificate without "doubles", an edge into a missing vertex, a sign
+    # that is not a number; each used to end in a traceback and exit 1
+    docs = [
+        {**one, "edges": [{"from": 1, "sign": 1}]},
+        {**one, "marks": [{"vertex": 1}]},
+        {**one, "kind": "reduced", "certificate": {"order": [0, 1]}},
+        {**one, "edges": [{"from": 1, "to": 5, "sign": 1}]},
+        {**one, "edges": [{"from": 1, "to": 0, "sign": "x"}]},
+    ]
     p = tmp_path / "junk.json"
     p.write_text("{not json")
     code, _, err = run(capsys, "normalize", str(p))
     assert code == 2
     assert "error" in err
+    for doc in docs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "normalize", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed circuit document")
 
 
 def test_stats_expression(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pcirc import arithmetic as ar
 from pcirc import circuit as circ
 from pcirc import generators as gen
+from pcirc import reduction
 from pcirc.circuit import (
     IMPROPER,
     Certificate,
@@ -151,6 +152,56 @@ def test_reduce_cancelling_circuits():
         nf = normalize(c)
         verify_certificate(nf, require_normal=True)
         assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
+
+
+def test_sweep_takes_slots_from_the_certificate(monkeypatch):
+    # a vertex costs one binary search: its last compares give the slot's
+    # doubling bits, and after a doubling the certificate names the next
+    # slot, so a separation costs at most the right bit's compare
+    calls = []
+    real_compare = reduction.compare_counted
+    real_locate = reduction._State.locate
+    real_process = reduction._State.process_vertex
+    real_double = reduction._State.double_value
+
+    def compare(a, b, domain):
+        if calls and calls[-1]["open"]:
+            calls[-1]["pairs"].append((a.digits, b.digits))
+        return real_compare(a, b, domain)
+
+    def locate(self, sv):
+        slot = real_locate(self, sv)
+        calls[-1].setdefault("searched", len(calls[-1]["pairs"]))
+        return slot
+
+    def process_vertex(self, v):
+        calls.append({"open": True, "pairs": [], "separations": 0})
+        try:
+            return real_process(self, v)
+        finally:
+            calls[-1]["open"] = False
+
+    def double_value(self, vi, vj):
+        calls[-1]["separations"] += 1
+        return real_double(self, vi, vj)
+
+    monkeypatch.setattr(reduction, "compare_counted", compare)
+    monkeypatch.setattr(reduction._State, "locate", locate)
+    monkeypatch.setattr(reduction._State, "process_vertex", process_vertex)
+    monkeypatch.setattr(reduction._State, "double_value", double_value)
+    rng = random.Random(3)
+    for k in (4, 8, 16, 32):
+        xs = [rng.getrandbits(256) for _ in range(k)]
+        c = from_integer(xs[0])
+        for x in xs[1:]:
+            c = ar.add(c, from_integer(x))
+        nf = normalize(c)
+        verify_certificate(nf, require_normal=True)
+        assert eval_bignum(nf, bit_budget=4096) == sum(xs)
+    assert sum(call["separations"] >= 2 for call in calls) > 100
+    for call in calls:
+        assert len(set(call["pairs"])) == len(call["pairs"])
+        assert len(call["pairs"]) - call.get("searched", 0) <= call["separations"]
 
 
 def test_reduce_stats_counts_work():
