@@ -30,6 +30,18 @@ still correct, or the processed vertex itself, which is then left out of the
 certificate.  A dead key stays a valid comparison target, and a later twin
 that folds into it brings it back to life.
 
+The state memoizes each certified vertex's digit sum, its children sorted
+by descending rank, and builds it once per sweep.  The memo cannot go
+stale: a certified vertex's out-edges never change during the sweep, since
+surgery rewires only edges out of the processed vertex and its unprocessed
+parents; and an insert shifts ranks but never reorders certified vertices,
+so a sorted sum stays sorted.  insert seeds the memo with the sum the sweep
+has already built: the one a vertex placed without a separation was
+searched with, or the one insert_above built for its right-bit compare.  A
+state made from a certificate, in normalize and verify_certificate, builds
+each sum on its first use.  Normalize's compact rewrite, the one pass that
+changes a certified vertex's out-edges, drops that vertex's entry.
+
 Normalization stacks three passes on a reduced circuit: give every vertex a
 doubling partner, rewrite every exponent sum and the mark sum into compact
 form, and trim.  Normal circuits are canonical: equal value implies equal
@@ -79,6 +91,7 @@ class _State(KeyDomain):
         self.doubles = list(doubles)
         self.rank = {v: i for i, v in enumerate(self.order)}
         self.stats = ReduceStats() if stats is None else stats
+        self.sums = {}  # certified vertex -> its digit sum, built once
 
     # KeyDomain over vertex ids
 
@@ -114,7 +127,8 @@ class _State(KeyDomain):
         for i in range(start, len(self.order)):
             self.rank[self.order[i]] = i
 
-    def insert(self, v, pos: int, bit_left: bool, bit_right: bool):
+    def insert(self, v, sv: SignedSum, pos: int, bit_left: bool, bit_right: bool):
+        """Certify v, whose digit sum is sv, at rank pos."""
         self.order.insert(pos, v)
         if pos == len(self.order) - 1:
             if len(self.order) >= 2:
@@ -123,13 +137,14 @@ class _State(KeyDomain):
             self.doubles[pos - 1] = bit_left
             self.doubles.insert(pos, bit_right)
         self._rebuild_ranks(pos)
+        self.sums[v] = sv
 
     def insert_above(self, v, u):
         """Insert v, worth 2 * value(u), into the free slot just above u."""
         pos = self.rank[u] + 1
-        right = pos < len(self.order) and self._cmp(
-            SignedSum(self.digits_of(v)), self.order[pos]) == -1
-        self.insert(v, pos, True, right)
+        sv = SignedSum(self.digits_of(v))
+        right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
+        self.insert(v, sv, pos, True, right)
 
     # digit views
 
@@ -139,8 +154,15 @@ class _State(KeyDomain):
         ds.sort(key=lambda d: self.rank[d[0]], reverse=True)
         return ds
 
+    def sum_of(self, u) -> SignedSum:
+        """The digit sum of certified vertex u, built on first use."""
+        su = self.sums.get(u)
+        if su is None:
+            su = self.sums[u] = SignedSum(self.digits_of(u))
+        return su
+
     def _cmp(self, sv: SignedSum, u) -> int:
-        r, it = compare_counted(sv, SignedSum(self.digits_of(u)), self)
+        r, it = compare_counted(sv, self.sum_of(u), self)
         self.stats.ops += it
         return r
 
@@ -166,8 +188,9 @@ class _State(KeyDomain):
 
     # local rewriting
 
-    def cleanup_vertex(self, v):
-        """Strip redundant zero edges and superfluous out-edge pairs of v."""
+    def cleanup_vertex(self, v) -> list:
+        """Strip redundant zero edges and superfluous out-edge pairs of v;
+        v's digits after the cleanup."""
         c = self.c
         out = c._succ[v]
         if self.zero in out and len(out) > 1:
@@ -187,6 +210,7 @@ class _State(KeyDomain):
                 i += 1
         if not c._succ[v]:
             c.add_edge(v, self.zero, 1)
+        return ds
 
     def increment_exponent(self, v):
         """Add one to v's exponent sum by local edge surgery.
@@ -283,13 +307,13 @@ class _State(KeyDomain):
 
         Returns None, IMPROPER, or _VALUE_IS_ZERO (every mark cancelled).
         """
-        self.cleanup_vertex(v)
-        ds = self.digits_of(v)
+        ds = self.cleanup_vertex(v)
         if ds and ds[0][1] < 0:
             return IMPROPER
-        pos, bits = self.locate(SignedSum(ds))
+        sv = SignedSum(ds)
+        pos, bits = self.locate(sv)
         if bits is not None:
-            self.insert(v, pos, *bits)
+            self.insert(v, sv, pos, *bits)
             return None
         # once doubled, v is worth twice its twin vi: it meets vi's doubling
         # partner, or it takes the free slot just above vi
@@ -382,9 +406,10 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
         st.cleanup_vertex(d)
         st.insert_above(d, v)
     for v in list(st.order[1:]):
-        ds = st.digits_of(v)
-        comp = make_compact(SignedSum(ds), st)
-        if list(comp.digits) != ds:
+        sv = st.sum_of(v)
+        comp = make_compact(sv, st)
+        if comp != sv:
+            del st.sums[v]
             for t in [t for t in w._succ[v] if t != st.zero]:
                 w.remove_edge(v, t)
             for t, s in comp:
@@ -465,7 +490,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
             raise CertificateError("extra leaf vertex")
         if zero in out and len(out) > 1:
             raise CertificateError("redundant zero edge")
-        ds = st.digits_of(v)
+        ds = st.sum_of(v).digits
         if ds and ds[0][1] < 0:
             raise CertificateError("improper vertex in certified circuit")
         for j in range(len(ds) - 1):
@@ -475,9 +500,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
                 raise CertificateError("exponent sum not compact")
     for i in range(1, len(cert.order) - 1):
         a, b = cert.order[i], cert.order[i + 1]
-        r, _ = compare_counted(
-            SignedSum(st.digits_of(b)), SignedSum(st.digits_of(a)), st
-        )
+        r, _ = compare_counted(st.sum_of(b), st.sum_of(a), st)
         if r <= 0:
             raise CertificateError("certificate order is not increasing")
         if (r == 1) != st.doubles[i]:

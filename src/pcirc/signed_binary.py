@@ -196,9 +196,14 @@ def compare(a: SignedSum, b: SignedSum, domain: KeyDomain = INT_KEYS) -> int:
 
 
 def compare_counted(a, b, domain: KeyDomain = INT_KEYS):
-    """compare() plus the number of loop iterations it took."""
-    A = list(a.digits)
-    B = list(b.digits)
+    """compare() plus the number of loop iterations it took.
+
+    Reads a.digits and b.digits in place and never mutates them: only the
+    halving step builds a list of its own, and that fresh list is the only
+    one it ever writes to.
+    """
+    A = a.digits
+    B = b.digits
     flip = 1  # sign relating the transformed difference to the original
     neg = 1  # lazy global negation applied to every stored coefficient
     ia = ib = 0
@@ -257,7 +262,7 @@ def compare_counted(a, b, domain: KeyDomain = INT_KEYS):
             return 2 * flip, iters
         # halve A's top: +2^n with no 2^(n-1) digit becomes +2^(n-1),
         # matching and consuming B's +2^(n-1) head
-        A = [(kb, neg)] + A[ia + 1 :]
+        A = [(kb, neg), *A[ia + 1 :]]
         ia = 0
         ib += 1
         while (

@@ -26,6 +26,7 @@ from pcirc.reduction import (
     sign,
     verify_certificate,
 )
+from pcirc.signed_binary import SignedSum
 
 
 def build(edges, marks, n):
@@ -154,6 +155,15 @@ def test_reduce_cancelling_circuits():
         assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
 
 
+def random_sum(rng, k):
+    """A circuit summing k random 256-bit integers, and that sum."""
+    xs = [rng.getrandbits(256) for _ in range(k)]
+    c = from_integer(xs[0])
+    for x in xs[1:]:
+        c = ar.add(c, from_integer(x))
+    return c, sum(xs)
+
+
 def test_sweep_takes_slots_from_the_certificate(monkeypatch):
     # a vertex costs one binary search: its last compares give the slot's
     # doubling bits, and after a doubling the certificate names the next
@@ -191,17 +201,112 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
     monkeypatch.setattr(reduction._State, "double_value", double_value)
     rng = random.Random(3)
     for k in (4, 8, 16, 32):
-        xs = [rng.getrandbits(256) for _ in range(k)]
-        c = from_integer(xs[0])
-        for x in xs[1:]:
-            c = ar.add(c, from_integer(x))
+        c, want = random_sum(rng, k)
         nf = normalize(c)
         verify_certificate(nf, require_normal=True)
-        assert eval_bignum(nf, bit_budget=4096) == sum(xs)
+        assert eval_bignum(nf, bit_budget=4096) == want
     assert sum(call["separations"] >= 2 for call in calls) > 100
     for call in calls:
         assert len(set(call["pairs"])) == len(call["pairs"])
         assert len(call["pairs"]) - call.get("searched", 0) <= call["separations"]
+
+
+def test_memo_never_goes_stale(monkeypatch):
+    # trim ends both reduce and normalize; by then every memoized digit sum
+    # of a vertex still in the circuit must match its out-edges
+    checked = []
+    real_trim = reduction._State.trim
+
+    def trim(self):
+        for u, su in self.sums.items():
+            if u in self.c._succ:
+                assert su == SignedSum(self.digits_of(u))
+                checked.append(u)
+        return real_trim(self)
+
+    monkeypatch.setattr(reduction._State, "trim", trim)
+    rng = random.Random(11)
+    cases = [random_sum(rng, k) for k in (2, 5, 9, 17, 33)]
+    for _ in range(10):
+        n, a, b = rng.randint(1, 40), rng.randint(0, 300), rng.randint(0, 300)
+        t = gen.tower_circuit(n)
+        diff = ar.subtract(ar.add(t, from_integer(a)), ar.add(t, from_integer(b)))
+        cases.append((diff, a - b))
+    # twins: vertices die mid-sweep and later twins bring them back to life
+    for _ in range(15):
+        c = positive_dag(rng, rng.randint(5, 40))
+        cases.append((ar.subtract(c, relabel(c)), 0))
+        cases.append((ar.subtract(ar.add(c, from_integer(1)), relabel(c)), 1))
+    for c, want in cases:
+        r = reduce(c)
+        verify_certificate(r)
+        nf = normalize(c)
+        verify_certificate(nf, require_normal=True)
+        assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
+    assert len(checked) > 2000
+
+
+def test_each_digit_sum_is_built_about_once(monkeypatch):
+    # a certified vertex's digit sum is built once per sweep, not once per
+    # compare against it
+    calls = {"digits_of": 0, "process_vertex": 0}
+
+    def count(name):
+        real = getattr(reduction._State, name)
+
+        def wrapper(self, v):
+            calls[name] += 1
+            return real(self, v)
+
+        monkeypatch.setattr(reduction._State, name, wrapper)
+
+    count("digits_of")
+    count("process_vertex")
+    rng = random.Random(3)
+    for k in (4, 8, 16, 32):
+        c, want = random_sum(rng, k)
+        calls.update(digits_of=0, process_vertex=0)
+        r = reduce(c)
+        assert eval_bignum(r, bit_budget=4096) == want
+        assert calls["digits_of"] <= 3 * calls["process_vertex"]
+
+
+def test_mutated_certified_copy_keeps_no_stale_sign():
+    # a copy drops its certificate, so after any mutation that keeps the
+    # circuit proper, sign reduces afresh and agrees with evaluation
+    rng = random.Random(2024)
+    for i in range(300):
+        a, b = rng.randrange(-(2**16), 2**16), rng.randrange(-(2**16), 2**16)
+        base = (reduce if i % 2 else normalize)(ar.add(from_integer(a), from_integer(b)))
+        order = base.certificate.order
+        rank = {v: j for j, v in enumerate(order)}
+        marks = base.marks
+        mutations = {
+            "mark": [(v, s) for v in order for s in (1, -1) if marks.get(v) != s],
+            "unmark": [(v, None) for v in marks] if len(marks) > 1 else [],
+            # only a source gains the edge, so values grow by a factor of at
+            # most 2^(2^17) and stay evaluable; a vertex lower in the order
+            # cannot reach the source, so no cycle closes
+            "edge": [
+                (u, t)
+                for u in order
+                if not base.in_vertices(u)
+                for t in order[: rank[u]]
+                if t not in base.out_edges(u)
+            ],
+        }
+        kind = rng.choice([k for k, options in mutations.items() if options])
+        v, arg = rng.choice(mutations[kind])
+        m = base.copy()
+        if kind == "mark":
+            m.set_mark(v, arg)
+        elif kind == "unmark":
+            m.unmark(v)
+        else:
+            m.add_edge(v, arg, 1)
+        want = eval_bignum(m)
+        assert sign(m) == (want > 0) - (want < 0)
+        assert sign(base) == ((a + b) > 0) - ((a + b) < 0)
 
 
 def test_reduce_stats_counts_work():
