@@ -11,9 +11,7 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
-import time
 
 from . import generators, reduction, termlang
 from . import circuit as circ
@@ -137,29 +135,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    print("n,vertices,ops,seconds")
-    if args.family == "tower":
-        for n in range(1, args.n_max + 1):
-            stats = reduction.ReduceStats()
-            t0 = time.perf_counter()
-            r = reduction.reduce(generators.tower_circuit(n), stats)
-            dt = time.perf_counter() - t0
-            print(f"{n},{r.n_vertices()},{stats.ops},{dt:.6f}")
-        return 0
-    rng = random.Random(args.seed)
-    n = 10
-    while n <= args.n_max:
-        stats = reduction.ReduceStats()
-        t0 = time.perf_counter()
-        for _ in range(args.trials):
-            reduction.reduce(generators.random_circuit(rng, n), stats)
-        dt = time.perf_counter() - t0
-        print(f"{n},{n},{stats.ops // args.trials},{dt:.6f}")
-        n *= 2
-    return 0
-
-
 def cmd_demo(args) -> int:
     if args.name == "blowup":
         return _demo_blowup(args.n)
@@ -250,13 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     _add_common(p)
     p.set_defaults(fn=cmd_export)
-
-    p = sub.add_parser("bench", help="CSV timings over generated families")
-    p.add_argument("--family", choices=["tower", "reduce"], default="reduce")
-    p.add_argument("--n-max", type=int, default=80)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("demo", help="blowup and division-by-3 walkthroughs")
     p.add_argument("name", choices=["blowup", "div3"])

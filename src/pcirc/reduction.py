@@ -38,9 +38,20 @@ parents; and an insert shifts ranks but never reorders certified vertices,
 so a sorted sum stays sorted.  insert seeds the memo with the sum the sweep
 has already built: the one a vertex placed without a separation was
 searched with, or the one insert_above built for its right-bit compare.  A
-state made from a certificate, in normalize and verify_certificate, builds
-each sum on its first use.  Normalize's compact rewrite, the one pass that
-changes a certified vertex's out-edges, drops that vertex's entry.
+doubling changes only the lowest digits, so it updates the processed
+vertex's digit list in place rather than sorting it afresh.  A state made
+from a certificate, in normalize and verify_certificate, builds each sum on
+its first use.  Normalize's compact rewrite, the one pass that changes a
+certified vertex's out-edges, drops that vertex's entry.
+
+insert also indexes each certified vertex by its digit tuple, and locate
+looks a vertex's digits up there before its binary search.  The index
+cannot go stale for the same reasons as the memo: over certified keys,
+equal digit tuples mean equal values, and certified values are distinct, so
+a hit names the very twin the search would find, without a compare.  Only
+the sweep consults the index; the compact rewrite still drops a rewritten
+vertex's entry with its memo entry, so every entry always names a vertex
+whose memoized sum has exactly those digits.
 
 Normalization stacks three passes on a reduced circuit: give every vertex a
 doubling partner, rewrite every exponent sum and the mark sum into compact
@@ -70,8 +81,9 @@ _VALUE_IS_ZERO = object()
 
 @dataclass
 class ReduceStats:
-    """Instrumented operation count: comparison iterations plus structural
-    rewrites.  Used for the cubic-scaling benchmarks."""
+    """Work counters, summed over every reduction that is passed the same
+    instance: ops counts comparison iterations plus structural rewrites, and
+    doublings and separations count the sweep's surgery."""
 
     ops: int = 0
     doublings: int = 0
@@ -92,6 +104,7 @@ class _State(KeyDomain):
         self.rank = {v: i for i, v in enumerate(self.order)}
         self.stats = ReduceStats() if stats is None else stats
         self.sums = {}  # certified vertex -> its digit sum, built once
+        self.vertex_of = {}  # digit tuple -> the certified vertex with those digits
 
     # KeyDomain over vertex ids
 
@@ -138,11 +151,13 @@ class _State(KeyDomain):
             self.doubles.insert(pos, bit_right)
         self._rebuild_ranks(pos)
         self.sums[v] = sv
+        self.vertex_of[sv.digits] = v
 
-    def insert_above(self, v, u):
-        """Insert v, worth 2 * value(u), into the free slot just above u."""
+    def insert_above(self, v, u, ds):
+        """Insert v, whose digits are ds and whose value is 2 * value(u),
+        into the free slot just above u."""
         pos = self.rank[u] + 1
-        sv = SignedSum(self.digits_of(v))
+        sv = SignedSum(ds)
         right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
         self.insert(v, sv, pos, True, right)
 
@@ -171,8 +186,12 @@ class _State(KeyDomain):
         rank, (bit_left, bit_right)).
 
         The search compared sv with both new neighbours last, so those
-        compares already say whether each is an exact half or double.
+        compares already say whether each is an exact half or double.  A
+        certified vertex with exactly sv's digits is found without a compare.
         """
+        u = self.vertex_of.get(sv.digits)
+        if u is not None:
+            return self.rank[u], None
         lo, hi = 1, len(self.order)
         left = right = False
         while lo < hi:
@@ -212,13 +231,15 @@ class _State(KeyDomain):
             c.add_edge(v, self.zero, 1)
         return ds
 
-    def increment_exponent(self, v):
-        """Add one to v's exponent sum by local edge surgery.
+    def increment_exponent(self, v, ds):
+        """Add one to v's exponent sum by local edge surgery; ds, v's digits
+        free of superfluous pairs, is updated in place and stays so.
 
         Digit-wise this removes a -2^0 digit, or folds the all-ones prefix
-        2^0 + ... + 2^(N-1) into a single +2^N digit.  When no vertex of
-        value 2^N exists one helper vertex is created, wired to denote 2^N,
-        and inserted into the certificate.  Returns the helper or None.
+        2^0 + ... + 2^(N-1) into a single +2^N digit, which a -2^(N+1) digit
+        just above it absorbs into -2^N.  When no vertex of value 2^N exists
+        one helper vertex is created, wired to denote 2^N, and inserted into
+        the certificate.  Returns the helper or None.
         """
         c = self.c
         out = c._succ[v]
@@ -230,6 +251,7 @@ class _State(KeyDomain):
             raise CircuitInvariantError("certificate lacks the unit vertex")
         if out.get(unit) == -1:
             c.remove_edge(v, unit)
+            ds.pop()
             if not out:
                 c.add_edge(v, self.zero, 1)
             return None
@@ -238,16 +260,17 @@ class _State(KeyDomain):
         while t is not None and out.get(t) == 1:
             chain.append(t)
             t = self.partner(t)
+        # the chain has ranks 1 .. len(chain), so it is the tail of ds
         for u in chain:
             c.remove_edge(v, u)
             self.stats.ops += 1
+        del ds[len(ds) - len(chain) :]
         aux = None
         if t is not None:
             if out.get(t) == -1:
                 raise CircuitInvariantError("superfluous pair fed to doubling")
-            c.add_edge(v, t, 1)
         else:
-            aux = c.add_vertex()
+            aux = t = c.add_vertex()
             k = 0
             m = len(chain)
             while m:
@@ -255,14 +278,24 @@ class _State(KeyDomain):
                     c.add_edge(aux, chain[k], 1)
                 m >>= 1
                 k += 1
-            self.insert_above(aux, chain[-1])
-            c.add_edge(v, aux, 1)
+            self.insert_above(aux, chain[-1], self.digits_of(aux))
+        # +t and a -2t just above it make one superfluous pair, folded into
+        # -t; nothing further up doubles t, so the fold cannot cascade
+        if ds and ds[-1][1] == -1 and self.is_double(ds[-1][0], t):
+            c.remove_edge(v, ds.pop()[0])
+            c.add_edge(v, t, -1)
+            ds.append((t, -1))
+            self.stats.ops += 1
+        else:
+            c.add_edge(v, t, 1)
+            ds.append((t, 1))
         if self.zero in out and len(out) > 1:
             c.remove_edge(v, self.zero)
         return aux
 
-    def double_value(self, vi, vj):
-        """Double value(vj), folding vj's old parents and marks onto vi.
+    def double_value(self, vi, vj, ds):
+        """Double value(vj), folding vj's old parents and marks onto vi; ds,
+        vj's digits, follows in place.
 
         Precondition: value(vi) == value(vj), vi's children certified, vj's
         out-edges clean of superfluous pairs.
@@ -274,7 +307,7 @@ class _State(KeyDomain):
         # parent of vj: vi is certified, and a certified vertex never gains
         # an out-edge to an unprocessed one.  So only vj's parents rewire.
         c = self.c
-        aux = self.increment_exponent(vj)
+        self.increment_exponent(vj, ds)
         for vk in list(c._pred[vj]):
             sj = c._succ[vk][vj]
             si = c._succ[vk].get(vi)
@@ -298,9 +331,7 @@ class _State(KeyDomain):
             else:
                 c.unmark(vi)
                 c.unmark(vj)
-        self.cleanup_vertex(vj)
         self.stats.doublings += 1
-        return aux
 
     def process_vertex(self, v):
         """Clean, place or separate one vertex; certifies it on success.
@@ -319,7 +350,7 @@ class _State(KeyDomain):
         # partner, or it takes the free slot just above vi
         vi = self.order[pos]
         while True:
-            self.double_value(vi, v)
+            self.double_value(vi, v, ds)
             self.stats.separations += 1
             if not self.c._marks:
                 return _VALUE_IS_ZERO
@@ -327,7 +358,7 @@ class _State(KeyDomain):
                 return None  # dead; the final trim drops it
             twin = self.partner(vi)
             if twin is None:
-                self.insert_above(v, vi)
+                self.insert_above(v, vi, ds)
                 return None
             vi = twin
 
@@ -368,8 +399,9 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
     order0 = circ.geometric_order(w)
     if not w.is_zero_leaf(order0[0]):
         raise CircuitInvariantError("standard circuit must start at its zero")
-    st = _State(w, order0[:2], [False], stats)
-    for v in order0[2:]:
+    # the unit is placed like any other vertex, so the index holds it too
+    st = _State(w, order0[:1], [], stats)
+    for v in order0[1:]:
         r = st.process_vertex(v)
         if r is IMPROPER:
             return IMPROPER
@@ -399,17 +431,16 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
         d = w.add_vertex()
         for t, s in w._succ[v].items():
             w.add_edge(d, t, s)
-        aux = st.increment_exponent(d)
-        if aux is not None:
+        ds = list(st.sum_of(v).digits)
+        if st.increment_exponent(d, ds) is not None:
             raise CircuitInvariantError("doubling partner construction recursed")
-        # the carry may leave -2^(k+1) +2^k adjacent in d's digits
-        st.cleanup_vertex(d)
-        st.insert_above(d, v)
+        st.insert_above(d, v, ds)
     for v in list(st.order[1:]):
         sv = st.sum_of(v)
         comp = make_compact(sv, st)
         if comp != sv:
             del st.sums[v]
+            st.vertex_of.pop(sv.digits, None)
             for t in [t for t in w._succ[v] if t != st.zero]:
                 w.remove_edge(v, t)
             for t, s in comp:

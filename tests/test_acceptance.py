@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end guarantees, each with a wall-clock budget.
+"""Acceptance gate: eleven end-to-end guarantees, each with a wall-clock budget.
 
 Every test prints one PASS line with its measured numbers once its
 assertions hold; a failing assertion is the FAIL line.  The budgets are
@@ -23,6 +23,7 @@ from pcirc.circuit import (
 )
 from pcirc.reduction import ReduceStats, normalize, reduce, sign
 from pcirc.signed_binary import SignedSum, compare_counted, make_compact, sum_value
+from test_reduction import positive_dag, relabel
 
 
 def vertex_values(c):
@@ -354,3 +355,35 @@ def test_10_cubic_scaling_smoke():
     shown = "/".join(f"{f:.2f}" for f in factors)
     print(f"PASS [10] reduce op-count doubling factors {shown} (all <= 9) "
           f"at 10/20/40/80 vertices ({dt:.1f}s)")
+
+
+def test_11_proper_scaling():
+    # proper inputs that collide at almost every vertex, so each reduction
+    # sweeps the whole circuit instead of aborting as improper
+    t0 = time.perf_counter()
+    rng = random.Random(11)
+    sizes = (100, 200, 400, 800)
+    factors = {}
+    # random dags vary widely in how often they separate, so the twins
+    # family sums many of them per size
+    for family, trials in (("tower", 3), ("twins", 24)):
+        ops = []
+        for n in sizes:
+            stats = ReduceStats()
+            t = gen.tower_circuit(n) if family == "tower" else None
+            for _ in range(trials):
+                if family == "tower":
+                    a, b = rng.randint(0, 1000), rng.randint(0, 1000)
+                    c, want = subtract(add(t, from_integer(a)), add(t, from_integer(b))), a - b
+                else:
+                    d = positive_dag(rng, n)
+                    c, want = subtract(add(d, from_integer(1)), relabel(d)), 1
+                assert eval_bignum(reduce(c, stats)) == want
+            ops.append(stats.ops)
+        factors[family] = [hi / lo for lo, hi in zip(ops, ops[1:])]
+        assert all(f <= 3.0 for f in factors[family]), (family, factors[family])
+    dt = time.perf_counter() - t0
+    assert dt < 120.0
+    shown = "; ".join(f"{k} " + "/".join(f"{f:.2f}" for f in v) for k, v in factors.items())
+    print(f"PASS [11] proper reduce op-count doubling factors {shown} (all <= 3) "
+          f"at 100/200/400/800 vertices ({dt:.1f}s)")

@@ -166,22 +166,6 @@ def test_export_json(capsys):
     assert circ.eval_bignum(circ.from_json_dict(doc)) == 5
 
 
-def test_bench_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--family", "reduce", "--n-max", "20",
-                       "--trials", "2", "--seed", "5")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,vertices,ops,seconds"
-    assert len(lines) == 3
-    assert lines[1].startswith("10,")
-
-
-def test_bench_tower(capsys):
-    code, out, _ = run(capsys, "bench", "--family", "tower", "--n-max", "4")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 5
-
-
 def test_demo_blowup(capsys):
     code, out, _ = run(capsys, "demo", "blowup", "--n", "8")
     assert code == 0

@@ -191,9 +191,9 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
         finally:
             calls[-1]["open"] = False
 
-    def double_value(self, vi, vj):
+    def double_value(self, vi, vj, ds):
         calls[-1]["separations"] += 1
-        return real_double(self, vi, vj)
+        return real_double(self, vi, vj, ds)
 
     monkeypatch.setattr(reduction, "compare_counted", compare)
     monkeypatch.setattr(reduction._State, "locate", locate)
@@ -211,10 +211,54 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
         assert len(call["pairs"]) - call.get("searched", 0) <= call["separations"]
 
 
+def test_exact_twins_are_found_without_a_compare(monkeypatch):
+    # a vertex whose digits equal a certified vertex's digits has that
+    # vertex's value, and the sweep finds it by hash, not by binary search
+    compares = []
+    twins = []
+    real_compare = reduction.compare_counted
+    real_locate = reduction._State.locate
+
+    def compare(a, b, domain):
+        compares.append((a.digits, b.digits))
+        return real_compare(a, b, domain)
+
+    def locate(self, sv):
+        twin = [u for u in self.order[1:] if SignedSum(self.digits_of(u)) == sv]
+        before = len(compares)
+        pos, bits = real_locate(self, sv)
+        if twin:
+            assert bits is None and [self.order[pos]] == twin
+            twins.append(len(compares) - before)
+        return pos, bits
+
+    monkeypatch.setattr(reduction, "compare_counted", compare)
+    monkeypatch.setattr(reduction._State, "locate", locate)
+    rng = random.Random(7)
+    cases = []
+    for _ in range(15):
+        c = positive_dag(rng, rng.randint(5, 40))
+        cases.append((ar.subtract(c, relabel(c)), 0))
+        cases.append((ar.subtract(ar.add(c, from_integer(1)), relabel(c)), 1))
+    for _ in range(10):
+        n, a, b = rng.randint(1, 40), rng.randint(0, 300), rng.randint(0, 300)
+        t = gen.tower_circuit(n)
+        diff = ar.subtract(ar.add(t, from_integer(a)), ar.add(t, from_integer(b)))
+        cases.append((diff, a - b))
+    for c, want in cases:
+        r = reduce(c)
+        verify_certificate(r)
+        assert eval_bignum(r) == want
+    assert len(twins) > 500
+    assert twins == [0] * len(twins)
+
+
 def test_memo_never_goes_stale(monkeypatch):
     # trim ends both reduce and normalize; by then every memoized digit sum
-    # of a vertex still in the circuit must match its out-edges
+    # of a vertex still in the circuit must match its out-edges, and every
+    # twin index entry must name a distinct vertex with exactly those digits
     checked = []
+    indexed = []
     real_trim = reduction._State.trim
 
     def trim(self):
@@ -222,6 +266,10 @@ def test_memo_never_goes_stale(monkeypatch):
             if u in self.c._succ:
                 assert su == SignedSum(self.digits_of(u))
                 checked.append(u)
+        for digits, u in self.vertex_of.items():
+            assert self.sums[u].digits == digits
+            indexed.append(u)
+        assert len(set(self.vertex_of.values())) == len(self.vertex_of)
         return real_trim(self)
 
     monkeypatch.setattr(reduction._State, "trim", trim)
@@ -244,6 +292,7 @@ def test_memo_never_goes_stale(monkeypatch):
         verify_certificate(nf, require_normal=True)
         assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
     assert len(checked) > 2000
+    assert len(indexed) > 2000
 
 
 def test_each_digit_sum_is_built_about_once(monkeypatch):
