@@ -7,6 +7,14 @@ zero leaves, and multiply splices the marked vertices of both sides
 pairwise.  Nothing here reduces the result; callers that want canonical
 circuits reduce afterwards.
 
+The ring operations and the shifts leave reduce a head start: their result
+carries as its seed the certificate of the largest non-trivial certified
+operand they append unchanged, renumbered into the result.  That operand's
+vertices keep their out-edges, since edges are only added out of the other
+operand's vertices, so reduce certifies them without a compare and sweeps
+only the rest.  A shift's seed comes from its exponent b, never from the
+rewired marks of a.  copy() drops the seed, and JSON never carries it.
+
 The one exception is div_pow2: deciding whether a quotient exists at all
 takes a reduction, so its exact mode returns IMPROPER for non-divisible
 input, and its drop mode first discards every marked summand smaller than
@@ -21,6 +29,7 @@ import enum
 from . import circuit as circ
 from .circuit import (
     IMPROPER,
+    Certificate,
     CircuitKind,
     PowerCircuit,
     VariableCircuitError,
@@ -38,14 +47,32 @@ def _append(dst: PowerCircuit, src: PowerCircuit) -> dict:
     return m
 
 
+def _seed(appended) -> Certificate | None:
+    """Certificate of the largest non-trivial certified circuit among the
+    (circuit, id map) pairs, renumbered through its map; None if none."""
+    best = None
+    for c, m in appended:
+        if (c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL)
+                and not circ.is_trivial(c)
+                and (best is None or c.n_vertices() > best[0].n_vertices())):
+            best = c, m
+    if best is None:
+        return None
+    cert = best[0].certificate
+    return Certificate(tuple(best[1][v] for v in cert.order), cert.doubles)
+
+
 def _signed_union(*parts) -> PowerCircuit:
     """Disjoint union of (circuit, sign) parts, each part's marks times its
     sign; sizes add exactly."""
     w = PowerCircuit()
+    appended = []
     for c, sign in parts:
         m = _append(w, c)
         for v, s in c._marks.items():
             w.set_mark(m[v], sign * s)
+        appended.append((c, m))
+    w.seed = _seed(appended)
     return w.freeze(CircuitKind.GENERAL)
 
 
@@ -97,6 +124,7 @@ def _shift(a: PowerCircuit, b: PowerCircuit, sign: int) -> PowerCircuit:
     for u, su in a2._marks.items():
         w.set_mark(ma[u], su)
     circ.fold_zero_leaves_inplace(w)
+    w.seed = _seed([(b, mb)])
     return w.freeze(CircuitKind.GENERAL)
 
 

@@ -92,7 +92,8 @@ class PowerCircuit:
     pass rather than on each add_edge.
     """
 
-    __slots__ = ("_succ", "_pred", "_marks", "_vars", "_next_id", "_frozen", "kind", "certificate")
+    __slots__ = ("_succ", "_pred", "_marks", "_vars", "_next_id", "_frozen", "kind", "certificate",
+                 "seed")
 
     def __init__(self):
         self._succ: dict = {}
@@ -103,6 +104,11 @@ class PowerCircuit:
         self._frozen = False
         self.kind = CircuitKind.GENERAL
         self.certificate = None
+        # certificate of a certified operand that arithmetic appended
+        # unchanged, in this circuit's ids; reduce starts its sweep from it.
+        # Its order[0] is that operand's zero, which reduce replaces with
+        # the one zero standardizing keeps.
+        self.seed = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -200,7 +206,7 @@ class PowerCircuit:
     # -- lifecycle ---------------------------------------------------------
 
     def copy(self) -> "PowerCircuit":
-        """Mutable general-kind copy without a certificate.
+        """Mutable general-kind copy without a certificate or seed.
 
         A copy can be edited, so it cannot keep a promise about the graph;
         freeze() re-attaches a certificate only when the caller passes one.

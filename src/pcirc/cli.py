@@ -17,7 +17,6 @@ from . import generators, reduction, termlang
 from . import circuit as circ
 from . import terms as tm
 from .circuit import BUDGET_EXCEEDED, IMPROPER, VariableCircuitError
-from .signed_binary import compact_of_integer
 from .termlang import CircuitBudgetError, ParseError
 
 
@@ -136,13 +135,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.name == "blowup":
-        return _demo_blowup(args.n)
-    return _demo_div3(args.j)
-
-
-def _demo_blowup(n: int) -> int:
     """Product of path circuits whose normal form needs 2^(n-3) marks."""
+    n = args.n
     if n < 4:
         print("the product family starts at n = 4", file=sys.stderr)
         return 2
@@ -155,32 +149,6 @@ def _demo_blowup(n: int) -> int:
         nf = reduction.normalize(p)
         print(f"{i},{p.n_vertices()},{len(p.marks)},{nf.n_vertices()},"
               f"{len(nf.marks)},{1 << (i - 3)}")
-    return 0
-
-
-def _demo_div3(j: int) -> int:
-    """Dividing 4^(i+1)-1 by 3 at tower heights i needs huge circuits.
-
-    With i = t(j) where t(0) = 2 and t(j) = 2^t(j-1): the circuit for
-    4^(i+1)-1 stays O(j) vertices, but the quotient (4^(i+1)-1)/3 is the
-    compact sum 4^i + ... + 4 + 1 of i+1 terms, and no circuit below that
-    size denotes it.
-    """
-    if j < 0:
-        print("j must be nonnegative", file=sys.stderr)
-        return 2
-    if j > 3:
-        print("j > 3 exceeds the demo budget (i is a tower)", file=sys.stderr)
-        return 3
-    print("j,i,compact_terms,min_circuit_vertices")
-    i = 2
-    for step in range(0, j + 1):
-        n = (4 ** (i + 1) - 1) // 3
-        terms = len(compact_of_integer(n).digits)
-        assert terms == i + 1
-        print(f"{step},{i},{terms},{terms}")
-        if step < j:
-            i = 2 ** i
     return 0
 
 
@@ -226,10 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_export)
 
-    p = sub.add_parser("demo", help="blowup and division-by-3 walkthroughs")
-    p.add_argument("name", choices=["blowup", "div3"])
-    p.add_argument("--n", type=int, default=9, help="blowup: largest factor index")
-    p.add_argument("--j", type=int, default=2, help="div3: tower height of i")
+    p = sub.add_parser("demo", help="the multiplication blow-up walkthrough")
+    p.add_argument("name", choices=["blowup"])
+    p.add_argument("--n", type=int, default=9, help="largest factor index")
     p.set_defaults(fn=cmd_demo)
 
     return parser

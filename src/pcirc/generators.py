@@ -30,13 +30,23 @@ def random_circuit(rng: random.Random, n_vertices: int) -> PowerCircuit:
 
 
 def tower_circuit(k: int) -> PowerCircuit:
-    """Circuit for the height-k tower 2^2^...^2 (k twos) on k + 2 vertices."""
+    """Circuit for the height-k tower 2^2^...^2 (k twos) on k + 2 vertices.
+
+    The same circuit as k exp2 steps from one_circuit(), built directly:
+    vertex 0 is the zero, vertex i + 1 points at vertex i, and the top
+    vertex carries the one mark.
+    """
     if k < 0:
         raise ValueError("tower height must be nonnegative")
-    c = circ.one_circuit()
-    for _ in range(k):
-        c = arithmetic.exp2(c)
-    return c
+    if k == 0:
+        return circ.one_circuit()
+    c = PowerCircuit()
+    for _ in range(k + 2):
+        c.add_vertex()
+    for v in range(1, k + 2):
+        c.add_edge(v, v - 1, 1)
+    c.set_mark(k + 1, 1)
+    return c.freeze(CircuitKind.GENERAL)
 
 
 def chain_circuit(n: int) -> PowerCircuit:

@@ -18,6 +18,20 @@ next slot without a new search: it meets the twin's doubling partner, or
 it takes the free slot just above the twin, where only the right bit needs
 a compare.
 
+The sweep starts from a certificate: the zero alone, or the seed that an
+arithmetic operation leaves on its result, the certificate of its largest
+certified operand.  The seed is restricted to the vertices standardizing
+keeps, the standardized zero goes at rank 0, and pairs that are no longer
+neighbours get doubling bit False, as in trim.  Seed vertices are indexed
+like inserted ones, so twins still meet them by hash, and only the other
+vertices are swept, in geometric order.  The seed stays valid for the whole
+sweep, for three reasons: a seed vertex's children are seed vertices, since
+the seed certified a whole operand; the union adds edges only out of new
+vertices; and surgery rewires only edges out of the processed vertex and
+its unprocessed parents, none of which is a seed vertex.  So no seed
+vertex changes its out-edges or its value.  A certified input is the case
+with nothing left to sweep: reduce returns it as it is, without a copy.
+
 Everything value-ordered here is proper: the sweep aborts with IMPROPER as
 soon as a vertex's exponent sum turns out negative.
 
@@ -152,6 +166,10 @@ class _State(KeyDomain):
         self._rebuild_ranks(pos)
         self.sums[v] = sv
         self.vertex_of[sv.digits] = v
+
+    def index(self, v):
+        """Index certified vertex v, as insert does, building its sum."""
+        self.vertex_of[self.sum_of(v).digits] = v
 
     def insert_above(self, v, u, ds):
         """Insert v, whose digits are ds and whose value is 2 * value(u),
@@ -363,18 +381,23 @@ class _State(KeyDomain):
             vi = twin
 
     def trim(self) -> Certificate:
-        """Drop mark-unreachable vertices; the survivors' certificate.
-
-        Survivors that were neighbours keep their doubling bit.  Any other
-        pair had a power of two strictly between them, so it is at least a
-        factor 4 apart and gets False.
-        """
+        """Drop mark-unreachable vertices; the survivors' certificate."""
         circ.trim_inplace(self.c)
-        kept = [i for i, v in enumerate(self.order) if v in self.c._succ]
-        return Certificate(
-            tuple(self.order[i] for i in kept),
-            tuple(j == i + 1 and self.doubles[i] for i, j in zip(kept, kept[1:])),
-        )
+        return _restrict(self.order, self.doubles, self.c._succ)
+
+
+def _restrict(order, doubles, alive) -> Certificate:
+    """The certificate of order's vertices that are in alive.
+
+    Survivors that were neighbours keep their doubling bit.  Any other pair
+    had a power of two strictly between them, so it is at least a factor 4
+    apart and gets False.
+    """
+    kept = [i for i, v in enumerate(order) if v in alive]
+    return Certificate(
+        tuple(order[i] for i in kept),
+        tuple(j == i + 1 and doubles[i] for i, j in zip(kept, kept[1:])),
+    )
 
 
 def _trivial_result(w: PowerCircuit, kind: CircuitKind) -> PowerCircuit:
@@ -387,21 +410,32 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
     """Equivalent circuit with pairwise distinct vertex values, certified.
 
     Returns IMPROPER when some vertex value is not a natural number.  Output
-    has at most one vertex more than the standardized input.
+    has at most one vertex more than the standardized input.  A certified
+    input leaves nothing to sweep and comes back as it is; a seeded one has
+    only the vertices outside its seed swept.
     """
     if not c.is_constant():
         raise VariableCircuitError("reduce needs a constant circuit")
+    if c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL):
+        return c
     w = c.copy()
     circ.standardize_inplace(w)
     if circ.is_trivial(w):
         only = next(iter(w.vertices()))
         return w.freeze(CircuitKind.REDUCED, Certificate((only,), ()))
     order0 = circ.geometric_order(w)
-    if not w.is_zero_leaf(order0[0]):
+    zero = order0[0]
+    if not w.is_zero_leaf(zero):
         raise CircuitInvariantError("standard circuit must start at its zero")
-    # the unit is placed like any other vertex, so the index holds it too
-    st = _State(w, order0[:1], [], stats)
+    # the seed's own zero may have been merged into this one
+    start = Certificate((zero,), ()) if c.seed is None else _restrict(
+        (zero,) + c.seed.order[1:], c.seed.doubles, w._succ)
+    st = _State(w, start.order, start.doubles, stats)
+    for v in start.order[1:]:
+        st.index(v)
     for v in order0[1:]:
+        if v in st.rank:
+            continue
         r = st.process_vertex(v)
         if r is IMPROPER:
             return IMPROPER

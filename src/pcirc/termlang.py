@@ -9,10 +9,14 @@ syntax error at that position, so "1 + (x = y)" fails the way it should.
 Evaluation never touches big integers: realize() maps a term bottom-up to
 power circuits, reducing after every operation, so definedness of each
 quotient is decided structurally; a formula atom is the sign of the
-difference circuit.  Division making a value leave the integers yields
-Undefined carrying the path to the offending subterm, and a vertex-count
-ceiling turns runaway products into CircuitBudgetError instead of an
-out-of-memory kill.
+difference circuit.  Each reduction starts from the certificate of the
+larger reduced operand and sweeps only the rest.  realize() first
+hash-conses the term into a DAG of distinct subterms, so a subterm that
+occurs twice, like tower(x) in tower(x)+1 - tower(x), is realized once; its
+circuit is held only until its last parent has taken it.  Division making a
+value leave the integers yields Undefined carrying the path to the
+offending subterm, and a vertex-count ceiling turns runaway products into
+CircuitBudgetError instead of an out-of-memory kill.
 """
 
 from __future__ import annotations
@@ -321,28 +325,94 @@ class _Undef(Exception):
         self.path = path
 
 
-def _realize_rec(t: Term, env: dict, max_vertices: int, path: tuple) -> PowerCircuit:
-    if isinstance(t, Const):
-        return circ.from_integer(t.value)
-    if isinstance(t, Var):
-        try:
-            bound = env[t.name]
-        except KeyError:
-            raise VariableCircuitError(f"no binding for variable {t.name!r}") from None
-        if isinstance(bound, PowerCircuit):
-            return bound
-        return circ.from_integer(bound)
-    a = _realize_rec(t.lhs, env, max_vertices, path + (0,))
-    b = _realize_rec(t.rhs, env, max_vertices, path + (1,))
-    raw = _apply(t, a, b)
-    if raw.n_vertices() > max_vertices:
-        raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
-    r = reduction.reduce(raw)
-    if r is IMPROPER:
-        raise _Undef(path)
-    if r.n_vertices() > max_vertices:
-        raise CircuitBudgetError(f"{r.n_vertices()} vertices exceed the ceiling")
-    return r
+def _hash_cons(t: Term):
+    """The term as a DAG of its distinct subterms, without recursion.
+
+    Returns (nodes, parents): nodes[i] is (term, lhs id, rhs id), with None
+    ids for leaves, listed children first and the root last; parents[i]
+    counts the references to id i from other nodes, so a subterm used twice
+    by one node counts twice.
+    """
+    ids = {}  # structural key -> id
+    of = {}  # id() of a term object -> its id; t keeps every object alive
+    nodes = []
+    parents = []
+    stack = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if id(u) in of:
+            continue
+        if isinstance(u, (Const, Var)):
+            key = (type(u), u.value if isinstance(u, Const) else u.name)
+            lhs = rhs = None
+        elif type(u) not in _OPERATION:
+            raise TypeError(f"not a term: {u!r}")
+        elif not expanded:
+            stack += [(u, True), (u.rhs, False), (u.lhs, False)]
+            continue
+        else:
+            lhs, rhs = of[id(u.lhs)], of[id(u.rhs)]
+            key = (type(u), lhs, rhs)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(nodes)
+            nodes.append((u, lhs, rhs))
+            parents.append(0)
+            if lhs is not None:
+                parents[lhs] += 1
+                parents[rhs] += 1
+        of[id(u)] = i
+    return nodes, parents
+
+
+class _Realizer:
+    """Realizes the subterms of one hash-consed term, each distinct one once.
+
+    A realized subterm with more than one DAG parent waits in the memo
+    until its last parent has taken it; one with a single parent is never
+    kept, so a tower's inner levels are not held in memory.  Subterms are
+    still realized first occurrence first, left to right, so an Undefined
+    names the same path as a tree walk would; it aborts the realize, so it
+    is never memoized.
+    """
+
+    def __init__(self, t: Term, env: dict, max_vertices: int):
+        self.nodes, self.parents = _hash_cons(t)
+        self.env = env
+        self.max_vertices = max_vertices
+        self.memo = {}  # id -> [circuit, parents still to take it]
+
+    def realize(self, i: int, path: tuple) -> PowerCircuit:
+        hit = self.memo.get(i)
+        if hit is not None:
+            hit[1] -= 1
+            if not hit[1]:
+                del self.memo[i]
+            return hit[0]
+        t, lhs, rhs = self.nodes[i]
+        if isinstance(t, Const):
+            r = circ.from_integer(t.value)
+        elif isinstance(t, Var):
+            try:
+                r = self.env[t.name]
+            except KeyError:
+                raise VariableCircuitError(f"no binding for variable {t.name!r}") from None
+            if not isinstance(r, PowerCircuit):
+                r = circ.from_integer(r)
+        else:
+            a = self.realize(lhs, path + (0,))
+            b = self.realize(rhs, path + (1,))
+            raw = _apply(t, a, b)
+            if raw.n_vertices() > self.max_vertices:
+                raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
+            r = reduction.reduce(raw)
+            if r is IMPROPER:
+                raise _Undef(path)
+            if r.n_vertices() > self.max_vertices:
+                raise CircuitBudgetError(f"{r.n_vertices()} vertices exceed the ceiling")
+        if self.parents[i] > 1:
+            self.memo[i] = [r, self.parents[i] - 1]
+        return r
 
 
 def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
@@ -350,10 +420,12 @@ def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
 
     Bindings may be integers or circuits.  Every operation is reduced as
     soon as it is built, which is what decides quotient definedness and
-    keeps sizes polynomial for product-free terms.
+    keeps sizes polynomial for product-free terms.  Each distinct subterm
+    is realized once, however often it occurs.
     """
+    realizer = _Realizer(t, env or {}, max_vertices)
     try:
-        r = _realize_rec(t, env or {}, max_vertices, ())
+        r = realizer.realize(len(realizer.nodes) - 1, ())
     except _Undef as u:
         return Undefined(u.path)
     return reduction.normalize(r)

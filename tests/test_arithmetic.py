@@ -91,6 +91,14 @@ def test_exp2_iteration_stays_linear():
             want = None
 
 
+def test_tower_circuit_is_the_exp2_chain():
+    # built directly in linear time, but vertex for vertex the exp2 chain
+    c = circ.one_circuit()
+    for k in range(41):
+        assert circ.to_json_dict(gen.tower_circuit(k)) == circ.to_json_dict(c)
+        c = exp2(c)
+
+
 def test_mul_pow2_examples():
     assert eval_bignum(mul_pow2(from_integer(3), from_integer(4))) == 48
     assert eval_bignum(mul_pow2(from_integer(1), from_integer(10))) == 1024

@@ -181,11 +181,3 @@ def test_demo_blowup_bounds(capsys):
     assert run(capsys, "demo", "blowup", "--n", "3")[0] == 2
     assert run(capsys, "demo", "blowup", "--n", "15")[0] == 3
 
-
-def test_demo_div3(capsys):
-    code, out, _ = run(capsys, "demo", "div3", "--j", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "j,i,compact_terms,min_circuit_vertices"
-    assert lines[1].split(",")[:3] == ["0", "2", "3"]
-    assert lines[2].split(",")[:3] == ["1", "4", "5"]

@@ -17,6 +17,7 @@ from pcirc.circuit import (
     canonical_bytes,
     eval_bignum,
     from_integer,
+    zero_circuit,
 )
 from pcirc.reduction import (
     ReduceStats,
@@ -465,3 +466,128 @@ def test_reduce_fuzz_round():
         assert canonical_bytes(nf) == canonical_bytes(from_integer(want))
         checked += 1
     assert checked > 200
+
+
+def count_sweep_work(monkeypatch):
+    """Live counts of the vertices the sweep processes and of its compares."""
+    n = {"processed": 0, "compares": 0}
+    real_process = reduction._State.process_vertex
+    real_compare = reduction.compare_counted
+
+    def process_vertex(self, v):
+        n["processed"] += 1
+        return real_process(self, v)
+
+    def compare(a, b, domain):
+        n["compares"] += 1
+        return real_compare(a, b, domain)
+
+    monkeypatch.setattr(reduction._State, "process_vertex", process_vertex)
+    monkeypatch.setattr(reduction, "compare_counted", compare)
+    return n
+
+
+def test_seeded_sweep_processes_only_the_smaller_operand(monkeypatch):
+    # a union of two normal operands starts from the larger one's
+    # certificate, so only the smaller one's vertices are swept
+    n = count_sweep_work(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(80):
+        a = rng.randrange(-(2**rng.randrange(1, 400)), 2**rng.randrange(1, 400))
+        b = rng.randrange(-(2**rng.randrange(1, 400)), 2**rng.randrange(1, 400))
+        x, y = from_integer(a), from_integer(b)
+        for c, want in ((ar.add(x, y), a + b), (ar.subtract(y, x), b - a)):
+            n["processed"] = 0
+            r = reduce(c)
+            verify_certificate(r)
+            assert eval_bignum(r, bit_budget=1024) == want
+            assert n["processed"] <= min(x.n_vertices(), y.n_vertices()) + 2
+        # the seed is indexed, so each vertex of an equal operand finds its
+        # twin by hash and cancels without a compare
+        n["compares"] = 0
+        assert circ.is_trivial(reduce(ar.subtract(x, from_integer(a))))
+        assert n["compares"] == 0
+
+
+def test_shift_by_a_reduced_exponent_processes_a_few_vertices(monkeypatch):
+    # mul_pow2(1, r) adds one vertex above the reduced exponent r; the
+    # sweep starts from r's certificate and places that vertex alone
+    n = count_sweep_work(monkeypatch)
+    rng = random.Random(6)
+    for _ in range(80):
+        a = rng.randrange(-(2**40), 2**40)
+        e = rng.randrange(-40, 3000) - a
+        r = reduce(ar.add(from_integer(a), from_integer(e)))
+        n["processed"] = 0
+        out = reduce(ar.mul_pow2(from_integer(1), r))
+        assert n["processed"] <= 3
+        if a + e < 0:
+            assert out is IMPROPER
+        else:
+            verify_certificate(out)
+            assert eval_bignum(out, bit_budget=4096) == 1 << (a + e)
+
+
+def test_reduce_returns_a_certified_input_as_it_is(monkeypatch):
+    # a certified input leaves nothing to sweep: reduce hands it back, kind
+    # and vertex ids included, without a compare
+    rng = random.Random(8)
+    certified = [from_integer(2**4096 - 3), zero_circuit()]
+    for k in (3, 9):
+        c, _ = random_sum(rng, k)
+        certified += [reduce(c), normalize(c)]
+    certified.append(reduce(ar.subtract(from_integer(5), from_integer(5))))
+    kinds = [c.kind for c in certified]
+    assert set(kinds) == {CircuitKind.REDUCED, CircuitKind.NORMAL}
+    n = count_sweep_work(monkeypatch)
+    for c, kind in zip(certified, kinds):
+        assert reduce(c) is c
+        assert c.kind is kind
+    assert n == {"processed": 0, "compares": 0}
+    # the trivial zero keeps its one vertex id
+    zero = zero_circuit()
+    assert reduce(zero) is zero
+    assert reduce(zero).certificate.order == tuple(zero.vertices())
+    # normalize runs only its own passes over a certified input
+    nf = normalize(certified[0])
+    assert canonical_bytes(nf) == canonical_bytes(certified[0])
+    assert n["processed"] == 0
+
+
+def test_mutated_copy_of_a_seeded_union_is_swept_afresh():
+    # the union carries its larger operand's certificate as a seed; a copy
+    # drops the seed, so edits to seed vertices cannot reach a stale sweep
+    rng = random.Random(77)
+    edited = 0
+    for i in range(300):
+        a, b = rng.randrange(-(2**64), 2**64), rng.randrange(-(2**16), 2**16)
+        x = (normalize if i % 2 else reduce)(ar.add(from_integer(a), from_integer(3)))
+        u = ar.add(x, from_integer(b)) if i % 3 else ar.mul_pow2(from_integer(b), x)
+        if a + 3 < 0 and not i % 3:
+            continue
+        assert u.seed is not None
+        assert set(u.seed.order[1:]) <= set(u.vertices())
+        assert "seed" not in circ.to_json_dict(u)
+        m = u.copy()
+        assert m.seed is None
+        seeded = [v for v in u.seed.order[1:] if v in m]
+        rank = {v: j for j, v in enumerate(seeded)}
+        options = [(v, t) for v in seeded if not m.in_vertices(v)
+                   for t in seeded[: rank[v]] if t not in m.out_edges(v)]
+        if options and rng.random() < 0.7:
+            v, t = rng.choice(options)
+            m.add_edge(v, t, rng.choice((1, -1)))
+            edited += 1
+        else:
+            v = rng.choice(seeded)
+            m.set_mark(v, -m.marks.get(v, -1))
+        want = eval_bignum(m, bit_budget=1 << 20)
+        if want is circ.BUDGET_EXCEEDED:
+            continue
+        r = reduce(m)
+        if want is IMPROPER:
+            assert r is IMPROPER
+            continue
+        verify_certificate(r)
+        assert eval_bignum(r, bit_budget=1 << 20) == want
+    assert edited > 100

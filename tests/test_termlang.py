@@ -290,11 +290,12 @@ def test_realize_budget():
     assert tl.realize(tl.parse("tower(8)"), max_vertices=64).n_vertices() <= 20
 
 
-def test_realize_matches_strict_oracle():
-    rng = random.Random(13)
+def assert_matches_strict_oracle(rng, make, tries=400) -> int:
+    """Realize tries random terms from make(rng); each must give the normal
+    form of its strict value, or Undefined.  Returns how many were checked."""
     checked = 0
-    for _ in range(400):
-        t = rand_term(rng, rng.randrange(5), ["x", "y"])
+    for _ in range(tries):
+        t = make(rng)
         env = {x: rng.randrange(-9, 10) for x in tm.term_vars(t)}
         try:
             expect = oval(t, env)
@@ -307,7 +308,78 @@ def test_realize_matches_strict_oracle():
             assert not isinstance(r, tl.Undefined), (t, env, expect)
             assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(expect))
         checked += 1
-    assert checked > 250
+    return checked
+
+
+def test_realize_matches_strict_oracle():
+    rng = random.Random(13)
+    assert assert_matches_strict_oracle(
+        rng, lambda rng: rand_term(rng, rng.randrange(5), ["x", "y"])) > 250
+
+
+def copy_term(t):
+    """An equal term made of fresh objects."""
+    if isinstance(t, (tm.Const, tm.Var)):
+        return type(t)(t.value if isinstance(t, tm.Const) else t.name)
+    return type(t)(copy_term(t.lhs), copy_term(t.rhs))
+
+
+def rand_shared_term(rng, depth, vars_, pool):
+    """A random term that reuses earlier subterms from pool, as the same
+    object or as an equal copy."""
+    if pool and rng.random() < 0.4:
+        s = rng.choice(pool)
+        return s if rng.random() < 0.5 else copy_term(s)
+    t = rand_term(rng, 0, vars_) if depth == 0 or rng.random() < 0.3 else rng.choice(
+        [tm.Add, tm.Sub, tm.Mul, tm.MulPow2, tm.DivPow2])(
+        rand_shared_term(rng, depth - 1, vars_, pool),
+        rand_shared_term(rng, depth - 1, vars_, pool))
+    pool.append(t)
+    return t
+
+
+def test_realize_with_shared_subterms_matches_strict_oracle():
+    # each distinct subterm is realized once and handed to every parent
+    shared = []
+
+    def make(rng):
+        t = rand_shared_term(rng, rng.randrange(2, 6), ["x", "y"], [])
+        nodes, parents = tl._hash_cons(t)
+        shared.append(any(p > 1 and nodes[i][1] is not None for i, p in enumerate(parents)))
+        return t
+
+    assert assert_matches_strict_oracle(random.Random(31), make) > 250
+    assert sum(shared) > 100
+
+
+def test_shared_subterm_is_realized_once(monkeypatch):
+    calls = []
+    real_reduce = tl.reduction.reduce
+
+    def reduce(c, stats=None):
+        calls.append(c)
+        return real_reduce(c, stats)
+
+    monkeypatch.setattr(tl.reduction, "reduce", reduce)
+    for x in (5, 40, 120):
+        calls.clear()
+        r = tl.realize(tl.parse("tower(x)+1 - tower(x)", {"x": x}))
+        assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
+        # x levels, the sum, the difference and normalize's own reduce
+        assert x <= len(calls) <= x + 4
+        # four uses, two of them by one node; one more reduce per operation
+        calls.clear()
+        r = tl.realize(tl.parse("tower(x)+tower(x)+1 - tower(x) - tower(x)", {"x": x}))
+        assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
+        assert x <= len(calls) <= x + 6
+
+
+def test_shared_undefined_subterm_keeps_its_first_witness():
+    r = tl.realize(tl.parse("(3 >>^ 1) + (3 >>^ 1)"))
+    assert r == tl.Undefined((0,))
+    r = tl.realize(tl.parse("((2 >>^ 1) + (2 >>^ 1)) - ((2 >>^ 1) + (5 >>^ 2))"))
+    assert r == tl.Undefined((1, 1))
+    assert tl.eval_formula(tl.parse("2 >>^ 1 = 1 & (3 >>^ 1) = (3 >>^ 1)")) == tl.Undefined((1, 0))
 
 
 def test_realize_mark_bound():
