@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 for a defined result, 1 when the result is Undefined (or an
-input circuit is improper), 2 for parse errors, 3 when a vertex budget is
-exceeded or the input nests too deeply to process.
+input circuit is improper), 2 for parse and input errors, 3 when an
+intermediate circuit outgrows the vertex ceiling (the blow-up demo has its
+own, n = 14).  Nesting depth has no limit of its own: parsing and
+evaluation use explicit stacks.  An expression that starts with "-" goes
+after "--", or argparse reads it as an option.
 """
 
 from __future__ import annotations
@@ -211,9 +214,6 @@ def main(argv=None) -> int:
         return 2
     except CircuitBudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print("budget exceeded: nesting too deep", file=sys.stderr)
         return 3
     except VariableCircuitError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,20 +3,25 @@
 Terms are built from integers, variables, +, -, *, and the shifts
 `x <<^ y` (x times 2^y) and `x >>^ y` (x times 2^(-y)); `2^(e)` abbreviates
 `1 <<^ (e)`.  Formulas combine `<=`, `=` and `<` atoms with `|`, `&`, `!`.
-One grammar parses both; an operator whose operand has the wrong kind is a
-syntax error at that position, so "1 + (x = y)" fails the way it should.
+One grammar parses both, by precedence climbing over a table of binding
+powers; an operator whose operand has the wrong kind is a syntax error at
+that position, so "1 + (x = y)" fails the way it should.
 
-Evaluation never touches big integers: realize() maps a term bottom-up to
-power circuits, reducing after every operation, so definedness of each
-quotient is decided structurally; a formula atom is the sign of the
-difference circuit.  Each reduction starts from the certificate of the
-larger reduced operand and sweeps only the rest.  realize() first
-hash-conses the term into a DAG of distinct subterms, so a subterm that
-occurs twice, like tower(x) in tower(x)+1 - tower(x), is realized once; its
-circuit is held only until its last parent has taken it.  Division making a
-value leave the integers yields Undefined carrying the path to the
-offending subterm, and a vertex-count ceiling turns runaway products into
-CircuitBudgetError instead of an out-of-memory kill.
+Evaluation never touches big integers.  A term or formula is first
+hash-consed into a DAG of its distinct subterms and subformulas, so a
+subterm that occurs twice, like tower(x) in tower(x)+1 - tower(x) or in two
+atoms of one formula, is evaluated once; its value is held only until its
+last parent has taken it.  One post-order walk then maps the DAG bottom-up
+to power circuits, reducing after every operation, so definedness of each
+quotient is decided structurally; each reduction starts from the
+certificate of the larger reduced operand and sweeps only the rest.  An
+atom is the sign of its reduced difference circuit, and a connective
+decided by its first operand never realizes its second.  The parser and
+the walk keep explicit stacks, so nesting depth costs time and memory but
+no interpreter recursion.  Division making a value leave the integers
+yields Undefined carrying the path to the offending subterm, and a
+vertex-count ceiling turns runaway products into CircuitBudgetError
+instead of an out-of-memory kill.
 """
 
 from __future__ import annotations
@@ -98,149 +103,119 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    """Recursive descent over one token list.
+# binding powers, loosest first; ! and the unary minus are the prefix
+# operators, and no binary one shares their powers; the shifts associate to
+# the right and the relations not at all
+_NOT, _REL, _SHIFT, _NEG = 3, 4, 7, 8
+_BINDING = {"|": 1, "&": 2, **dict.fromkeys(("<=", ">=", "<", ">", "="), _REL),
+            "+": 5, "-": 5, "*": 6, "<<^": _SHIFT, ">>^": _SHIFT}
+_BUILD = {"|": Or, "&": And, "+": Add, "-": Sub, "*": Mul, "<<^": MulPow2, ">>^": DivPow2}
 
-    Every rule returns a Term or a Formula; combining rules check operand
-    kinds instead of backtracking.
+
+def _of_kind(node, pos, kind):
+    """node, if it is of the kind its operator needs; else a ParseError at pos."""
+    if not isinstance(node, kind):
+        raise ParseError("expected a term, found a relation" if kind is Term
+                         else "expected a relation, found a term", pos)
+    return node
+
+
+class _Parser:
+    """Precedence climbing over one token list, with explicit stacks.
+
+    Applying an operator checks its operands' kinds instead of
+    backtracking.  ops holds the pending operators as (binding power,
+    symbol, position); the brackets "(" and "2^(" and the bottom of the
+    stack have binding power 0.  vals holds each finished operand with the
+    position a kind error about it names: its first token, or the operator
+    of a relation or connective.
     """
 
     def __init__(self, tokens, macro_env):
         self.tokens = tokens
         self.i = 0
         self.macro_env = macro_env
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.ops = [(0, None, 0)]
+        self.vals = []
 
     def next(self):
         t = self.tokens[self.i]
         self.i += 1
         return t
 
-    def at_op(self, *ops) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "op" and value in ops
+    def at_op(self, op) -> bool:
+        kind, value, _ = self.tokens[self.i]
+        return kind == "op" and value == op
 
     def expect_op(self, op):
         kind, value, pos = self.next()
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    def term_operand(self, node, pos) -> Term:
-        if not isinstance(node, Term):
-            raise ParseError("expected a term, found a relation", pos)
-        return node
+    def apply_top(self):
+        """Replace the top operator and its operands by one node."""
+        bp, op, pos = self.ops.pop()
+        rhs = _of_kind(*self.vals.pop(), Formula if bp < _REL else Term)
+        if bp in (_NOT, _NEG):
+            node = Not(rhs) if op == "!" else Sub(Const(0), rhs)
+        else:
+            lhs = self.vals.pop()[0]
+            if op in (">", ">="):
+                lhs, rhs, op = rhs, lhs, op.replace(">", "<")
+            node = Atom(lhs, op, rhs) if bp == _REL else _BUILD[op](lhs, rhs)
+        self.vals.append((node, pos))
 
-    def formula_operand(self, node, pos) -> Formula:
-        if not isinstance(node, Formula):
-            raise ParseError("expected a relation, found a term", pos)
-        return node
-
-    # precedence low to high
-
-    def parse_or(self):
-        node, pos = self.parse_and()
-        while self.at_op("|"):
-            _, _, oppos = self.next()
-            lhs = self.formula_operand(node, pos)
-            rhs, rpos = self.parse_and()
-            node = Or(lhs, self.formula_operand(rhs, rpos))
-            pos = oppos
-        return node, pos
-
-    def parse_and(self):
-        node, pos = self.parse_not()
-        while self.at_op("&"):
-            _, _, oppos = self.next()
-            lhs = self.formula_operand(node, pos)
-            rhs, rpos = self.parse_not()
-            node = And(lhs, self.formula_operand(rhs, rpos))
-            pos = oppos
-        return node, pos
-
-    def parse_not(self):
-        if self.at_op("!"):
-            _, _, pos = self.next()
-            sub, spos = self.parse_not()
-            return Not(self.formula_operand(sub, spos)), pos
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        node, pos = self.parse_sum()
-        if not self.at_op("<=", ">=", "<", ">", "="):
-            return node, pos
-        _, op, oppos = self.next()
-        lhs = self.term_operand(node, pos)
-        rhs, rpos = self.parse_sum()
-        rhs = self.term_operand(rhs, rpos)
-        if self.at_op("<=", ">=", "<", ">", "="):
-            raise ParseError("chained comparisons are not supported", self.peek()[2])
-        if op in (">", ">="):
-            lhs, rhs = rhs, lhs
-            op = "<" if op == ">" else "<="
-        return Atom(lhs, op, rhs), oppos
-
-    def parse_sum(self):
-        node, pos = self.parse_product()
-        while self.at_op("+", "-"):
-            _, op, _ = self.next()
-            lhs = self.term_operand(node, pos)
-            rhs, rpos = self.parse_product()
-            rhs = self.term_operand(rhs, rpos)
-            node = Add(lhs, rhs) if op == "+" else Sub(lhs, rhs)
-        return node, pos
-
-    def parse_product(self):
-        node, pos = self.parse_shift()
-        while self.at_op("*"):
-            self.next()
-            lhs = self.term_operand(node, pos)
-            rhs, rpos = self.parse_shift()
-            node = Mul(lhs, self.term_operand(rhs, rpos))
-        return node, pos
-
-    def parse_shift(self):
-        node, pos = self.parse_unary()
-        if self.at_op("<<^", ">>^"):
-            _, op, _ = self.next()
-            lhs = self.term_operand(node, pos)
-            rhs, rpos = self.parse_shift()  # right associative
-            rhs = self.term_operand(rhs, rpos)
-            node = MulPow2(lhs, rhs) if op == "<<^" else DivPow2(lhs, rhs)
-        return node, pos
-
-    def parse_unary(self):
-        if self.at_op("-"):
-            _, _, pos = self.next()
-            sub, spos = self.parse_unary()
-            return Sub(Const(0), self.term_operand(sub, spos)), pos
-        return self.parse_primary()
-
-    def parse_primary(self):
-        kind, value, pos = self.next()
-        if kind == "num":
-            if self.at_op("^"):
+    def parse(self):
+        ops, vals = self.ops, self.vals
+        while True:
+            kind, value, pos = self.next()  # an operand starts here
+            if kind == "op" and value in ("-", "!", "("):
+                # ! negates relations, so no term operator may be waiting
+                if value == "!" and (ops[-1][0] >= _REL or ops[-1][1] == "2^("):
+                    raise ParseError("expected a term", pos)
+                ops.append(({"-": _NEG, "!": _NOT, "(": 0}[value], value, pos))
+                continue
+            if kind == "num" and self.at_op("^"):
                 if value != 2:
                     raise ParseError("only base 2 exponentials exist here", pos)
                 self.next()
                 self.expect_op("(")
-                exp, epos = self.parse_sum()
-                exp = self.term_operand(exp, epos)
-                self.expect_op(")")
-                return MulPow2(Const(1), exp), pos
-            return Const(value), pos
-        if kind == "name":
-            if value == "tower":
-                return self.parse_tower(pos), pos
-            return Var(value), pos
-        if kind == "op" and value == "(":
-            node, _ = self.parse_or()
-            self.expect_op(")")
-            return node, pos
-        raise ParseError("expected a term", pos)
+                ops.append((0, "2^(", pos))
+                continue
+            if kind == "num":
+                vals.append((Const(value), pos))
+            elif kind == "name":
+                vals.append((self.tower() if value == "tower" else Var(value), pos))
+            else:
+                raise ParseError("expected a term", pos)
+            while True:  # after an operand: apply what binds tighter than the next token
+                kind, value, pos = self.next()
+                bp = _BINDING.get(value, 0)  # no name or number spells an operator
+                while ops[-1][0] > bp or 0 < ops[-1][0] == bp != _SHIFT:
+                    top = ops[-1][0]
+                    self.apply_top()
+                    if top == bp == _REL:
+                        raise ParseError("chained comparisons are not supported", pos)
+                # inside 2^( ) only a sum may stand
+                if bp > _REL or bp and ops[-1][1] != "2^(":
+                    node, npos = vals[-1]
+                    _of_kind(node, npos, Formula if bp < _REL else Term)
+                    ops.append((bp, value, pos if bp <= _REL else npos))
+                    break
+                # the token closes the innermost bracket, or ends the input
+                _, bracket, bpos = ops.pop()
+                if bracket is None:
+                    if kind != "end":
+                        raise ParseError("trailing input", pos)
+                    return vals[0][0]
+                node, npos = vals.pop()
+                if bracket == "2^(":
+                    node = MulPow2(Const(1), _of_kind(node, npos, Term))
+                if value != ")":
+                    raise ParseError("expected ')'", pos)
+                vals.append((node, bpos))
 
-    def parse_tower(self, pos) -> Term:
+    def tower(self) -> Term:
         """tower(k): the k-fold iterated power 2^2^...^2, with tower(0) = 1.
 
         The height must resolve to a nonnegative integer at parse time,
@@ -262,20 +237,84 @@ class _Parser:
             t = MulPow2(Const(1), t)
         return t
 
-    def parse_all(self):
-        node, _ = self.parse_or()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", pos)
-        return node
-
 
 def parse(src: str, macro_env: dict | None = None):
     """Term or Formula for a source string.
 
     macro_env supplies integer bindings usable as tower() heights.
     """
-    return _Parser(_tokenize(src), macro_env or {}).parse_all()
+    return _Parser(_tokenize(src), macro_env or {}).parse()
+
+
+# -- the hash-consed DAG -----------------------------------------------------
+
+# names, not functions: looked up on the module at call time, so a wrapper
+# installed on `arithmetic` sees every call; an atom is decided by the sign
+# of the difference of its sides
+_OPERATION = {
+    Add: "add",
+    Sub: "subtract",
+    Mul: "multiply",
+    MulPow2: "mul_pow2",
+    DivPow2: "div_pow2_raw",
+    Atom: "subtract",
+}
+
+
+def _apply(t, a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
+    """The arithmetic operation of binary node t on operand circuits a, b."""
+    return getattr(arithmetic, _OPERATION[type(t)])(a, b)
+
+
+def _operands(u):
+    """The operands of a node, left to right, each with the kind it must have."""
+    if isinstance(u, (Const, Var)):
+        return ()
+    if isinstance(u, Not):
+        return ((u.sub, Formula),)
+    if isinstance(u, (And, Or)):
+        return ((u.lhs, Formula), (u.rhs, Formula))
+    if type(u) in _OPERATION:
+        return ((u.lhs, Term), (u.rhs, Term))
+    raise TypeError(f"not a term or formula: {u!r}")
+
+
+def _hash_cons(root, kind):
+    """root, a term or formula of the given kind, as a DAG of its distinct
+    subterms and subformulas, built without recursion.
+
+    Returns (nodes, parents): nodes[i] is (node, operand ids), listed
+    operands first and the root last; parents[i] counts the references to
+    id i from other nodes, so an operand used twice by one node counts
+    twice.
+    """
+    ids = {}  # structural key -> id
+    of = {}  # id() of a node object -> its id; root keeps every object alive
+    nodes = []
+    parents = []
+    stack = [(root, kind, False)]
+    while stack:
+        u, want, expanded = stack.pop()
+        if not isinstance(u, want):
+            raise TypeError(f"not a {want.__name__.lower()}: {u!r}")
+        if id(u) in of:
+            continue
+        operands = _operands(u)
+        if operands and not expanded:
+            stack.append((u, want, True))
+            stack += [(c, k, False) for c, k in reversed(operands)]
+            continue
+        kids = tuple(of[id(c)] for c, _ in operands)
+        key = (type(u), u.rel if isinstance(u, Atom) else None, kids) if kids else u
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(nodes)
+            nodes.append((u, kids))
+            parents.append(0)
+            for k in kids:
+                parents[k] += 1
+        of[id(u)] = i
+    return nodes, parents
 
 
 # -- structural embedding ----------------------------------------------------
@@ -288,131 +327,106 @@ def tau(t: Term) -> PowerCircuit:
     at most 2|t| + 2 vertices and |t| + 1 marks, marks always sources.
     Quotients embed as raw negative-exponent wirings, so the result can be
     improper; properness is the evaluator's problem, not the embedding's.
+    A subterm that occurs twice is embedded once and appended twice.
     """
-    if isinstance(t, Const):
-        if t.value == 0:
-            return circ.zero_circuit()
-        return circ.from_integer(t.value)
-    if isinstance(t, Var):
-        return circ.var_circuit(t.name)
-    return _apply(t, tau(t.lhs), tau(t.rhs))
-
-
-# names, not functions: looked up on the module at call time, so a wrapper
-# installed on `arithmetic` sees every call
-_OPERATION = {
-    Add: "add",
-    Sub: "subtract",
-    Mul: "multiply",
-    MulPow2: "mul_pow2",
-    DivPow2: "div_pow2_raw",
-}
-
-
-def _apply(t: Term, a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
-    """The arithmetic operation of binary node t on operand circuits a, b."""
-    name = _OPERATION.get(type(t))
-    if name is None:
-        raise TypeError(f"not a term: {t!r}")
-    return getattr(arithmetic, name)(a, b)
+    nodes, parents = _hash_cons(t, Term)
+    out = []
+    for u, kids in nodes:
+        if isinstance(u, Const):
+            out.append(circ.from_integer(u.value) if u.value else circ.zero_circuit())
+        elif isinstance(u, Var):
+            out.append(circ.var_circuit(u.name))
+        else:
+            out.append(_apply(u, *(out[k] for k in kids)))
+            for k in kids:
+                parents[k] -= 1
+                if not parents[k]:
+                    out[k] = None
+    return out[-1]
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-class _Undef(Exception):
-    def __init__(self, path: tuple):
-        self.path = path
+def _decides(u, v) -> bool:
+    """Whether the value v of one operand decides node u on its own: False
+    decides an And, True an Or, and Undefined any other node."""
+    if isinstance(u, And):
+        return v is False
+    if isinstance(u, Or):
+        return v is True
+    return isinstance(v, Undefined)
 
 
-def _hash_cons(t: Term):
-    """The term as a DAG of its distinct subterms, without recursion.
+def _value(u, args: list, env: dict, max_vertices: int):
+    """The value of node u from its operands' values, finished left to
+    right until one decided it.  An Undefined names its witness path from
+    u, so the witness of a shared subterm is right wherever it occurs."""
+    if isinstance(u, Const):
+        return circ.from_integer(u.value)
+    if isinstance(u, Var):
+        try:
+            r = env[u.name]
+        except KeyError:
+            raise VariableCircuitError(f"no binding for variable {u.name!r}") from None
+        return r if isinstance(r, PowerCircuit) else circ.from_integer(r)
+    if isinstance(u, (And, Or)) and _decides(u, args[-1]):
+        return args[-1]
+    for j, a in enumerate(args):
+        if isinstance(a, Undefined):
+            return Undefined((j,) + a.witness)
+    if isinstance(u, Not):
+        return not args[0]
+    if isinstance(u, (And, Or)):
+        return args[-1]
+    raw = _apply(u, *args)
+    if raw.n_vertices() > max_vertices:
+        raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
+    r = reduction.reduce(raw)
+    if r is IMPROPER:
+        return Undefined()
+    if r.n_vertices() > max_vertices:
+        raise CircuitBudgetError(f"{r.n_vertices()} vertices exceed the ceiling")
+    if isinstance(u, Atom):
+        s = reduction.sign(r)
+        return {"<=": s <= 0, "=": s == 0, "<": s < 0}[u.rel]
+    return r
 
-    Returns (nodes, parents): nodes[i] is (term, lhs id, rhs id), with None
-    ids for leaves, listed children first and the root last; parents[i]
-    counts the references to id i from other nodes, so a subterm used twice
-    by one node counts twice.
+
+def _evaluate(root, kind, env: dict, max_vertices: int):
+    """A reduced circuit for a term, a bool for a formula, or Undefined.
+
+    One post-order walk over the hash-consed DAG, with an explicit stack.
+    Each distinct node is evaluated once, however often it occurs: a value
+    with more than one parent waits in the memo until its last parent has
+    taken it, and one with a single parent is dropped once that parent is
+    done, so a tower's inner levels are not held in memory.  Operands are
+    finished left to right and a node stops at the first one that decides
+    it, so an atom a connective skips is never realized.
     """
-    ids = {}  # structural key -> id
-    of = {}  # id() of a term object -> its id; t keeps every object alive
-    nodes = []
-    parents = []
-    stack = [(t, False)]
+    nodes, parents = _hash_cons(root, kind)
+    memo = {}  # id -> [value, parents still to take it]
+    done = []  # values of finished operands whose node is not finished
+    stack = [(len(nodes) - 1, 0)]  # (id, operands finished)
     while stack:
-        u, expanded = stack.pop()
-        if id(u) in of:
-            continue
-        if isinstance(u, (Const, Var)):
-            key = (type(u), u.value if isinstance(u, Const) else u.name)
-            lhs = rhs = None
-        elif type(u) not in _OPERATION:
-            raise TypeError(f"not a term: {u!r}")
-        elif not expanded:
-            stack += [(u, True), (u.rhs, False), (u.lhs, False)]
-            continue
-        else:
-            lhs, rhs = of[id(u.lhs)], of[id(u.rhs)]
-            key = (type(u), lhs, rhs)
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(nodes)
-            nodes.append((u, lhs, rhs))
-            parents.append(0)
-            if lhs is not None:
-                parents[lhs] += 1
-                parents[rhs] += 1
-        of[id(u)] = i
-    return nodes, parents
-
-
-class _Realizer:
-    """Realizes the subterms of one hash-consed term, each distinct one once.
-
-    A realized subterm with more than one DAG parent waits in the memo
-    until its last parent has taken it; one with a single parent is never
-    kept, so a tower's inner levels are not held in memory.  Subterms are
-    still realized first occurrence first, left to right, so an Undefined
-    names the same path as a tree walk would; it aborts the realize, so it
-    is never memoized.
-    """
-
-    def __init__(self, t: Term, env: dict, max_vertices: int):
-        self.nodes, self.parents = _hash_cons(t)
-        self.env = env
-        self.max_vertices = max_vertices
-        self.memo = {}  # id -> [circuit, parents still to take it]
-
-    def realize(self, i: int, path: tuple) -> PowerCircuit:
-        hit = self.memo.get(i)
+        i, k = stack.pop()
+        hit = memo.get(i)
         if hit is not None:
             hit[1] -= 1
             if not hit[1]:
-                del self.memo[i]
-            return hit[0]
-        t, lhs, rhs = self.nodes[i]
-        if isinstance(t, Const):
-            r = circ.from_integer(t.value)
-        elif isinstance(t, Var):
-            try:
-                r = self.env[t.name]
-            except KeyError:
-                raise VariableCircuitError(f"no binding for variable {t.name!r}") from None
-            if not isinstance(r, PowerCircuit):
-                r = circ.from_integer(r)
-        else:
-            a = self.realize(lhs, path + (0,))
-            b = self.realize(rhs, path + (1,))
-            raw = _apply(t, a, b)
-            if raw.n_vertices() > self.max_vertices:
-                raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
-            r = reduction.reduce(raw)
-            if r is IMPROPER:
-                raise _Undef(path)
-            if r.n_vertices() > self.max_vertices:
-                raise CircuitBudgetError(f"{r.n_vertices()} vertices exceed the ceiling")
-        if self.parents[i] > 1:
-            self.memo[i] = [r, self.parents[i] - 1]
-        return r
+                del memo[i]
+            done.append(hit[0])
+            continue
+        u, kids = nodes[i]
+        if k < len(kids) and not (k and _decides(u, done[-1])):
+            stack += [(i, k + 1), (kids[k], 0)]
+            continue
+        v = _value(u, done[len(done) - k:], env, max_vertices)
+        del done[len(done) - k:]
+        if parents[i] > 1:
+            memo[i] = [v, parents[i] - 1]
+        done.append(v)
+    return done[0]
 
 
 def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
@@ -423,12 +437,8 @@ def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
     keeps sizes polynomial for product-free terms.  Each distinct subterm
     is realized once, however often it occurs.
     """
-    realizer = _Realizer(t, env or {}, max_vertices)
-    try:
-        r = realizer.realize(len(realizer.nodes) - 1, ())
-    except _Undef as u:
-        return Undefined(u.path)
-    return reduction.normalize(r)
+    r = _evaluate(t, Term, env or {}, max_vertices)
+    return r if isinstance(r, Undefined) else reduction.normalize(r)
 
 
 def eval_formula(f: Formula, env: dict | None = None, max_vertices: int = 10**6):
@@ -436,47 +446,8 @@ def eval_formula(f: Formula, env: dict | None = None, max_vertices: int = 10**6)
 
     An atom with an Undefined side is Undefined; "and"/"or" are decided by
     a dominating defined operand (False and anything is False, True or
-    anything is True); "not" preserves Undefined.
+    anything is True); "not" preserves Undefined.  Each distinct subterm
+    is realized once across all atoms, and an atom is the sign of its
+    reduced difference circuit.
     """
-    return _eval_formula_rec(f, env or {}, max_vertices, ())
-
-
-def _eval_formula_rec(f: Formula, env: dict, max_vertices: int, path: tuple):
-    if isinstance(f, Atom):
-        r = realize(Sub(f.lhs, f.rhs), env, max_vertices)
-        if isinstance(r, Undefined):
-            return Undefined(path + r.witness)
-        s = reduction.sign(r)
-        if f.rel == "<=":
-            return s <= 0
-        if f.rel == "=":
-            return s == 0
-        if f.rel == "<":
-            return s < 0
-        raise ValueError(f"unknown relation {f.rel!r}")
-    if isinstance(f, And):
-        a = _eval_formula_rec(f.lhs, env, max_vertices, path + (0,))
-        if a is False:
-            return False
-        b = _eval_formula_rec(f.rhs, env, max_vertices, path + (1,))
-        if b is False:
-            return False
-        if isinstance(a, Undefined):
-            return a
-        return b
-    if isinstance(f, Or):
-        a = _eval_formula_rec(f.lhs, env, max_vertices, path + (0,))
-        if a is True:
-            return True
-        b = _eval_formula_rec(f.rhs, env, max_vertices, path + (1,))
-        if b is True:
-            return True
-        if isinstance(a, Undefined):
-            return a
-        return b
-    if isinstance(f, Not):
-        r = _eval_formula_rec(f.sub, env, max_vertices, path + (0,))
-        if isinstance(r, Undefined):
-            return r
-        return not r
-    raise TypeError(f"not a formula: {f!r}")
+    return _evaluate(f, Formula, env or {}, max_vertices)

@@ -62,15 +62,32 @@ def test_eval_budget_exit_code(capsys):
     code, _, err = run(capsys, "eval", big, "--max-vertices", "64")
     assert code == 3
     assert "budget" in err
+    code, _, err = run(capsys, "cmp", "tower(x)+1", "tower(x)", "--let", "x=1200",
+                       "--max-vertices", "100")
+    assert code == 3
+    assert "vertices exceed the ceiling" in err
 
 
-def test_deep_nesting_exits_3(capsys):
-    code, _, err = run(capsys, "cmp", "tower(x)+1", "tower(x)", "--let", "x=1200")
-    assert code == 3
-    assert "nesting too deep" in err
-    code, _, err = run(capsys, "eval", "2^(" * 400 + "1" + ")" * 400)
-    assert code == 3
-    assert "nesting too deep" in err
+def test_deep_nesting_is_answered(capsys):
+    # parsing and evaluation use explicit stacks, so depth costs time, not
+    # the interpreter's recursion limit
+    code, out, _ = run(capsys, "cmp", "tower(x)+1", "tower(x)", "--let", "x=1200")
+    assert (code, out.strip()) == (0, ">")
+    code, out, _ = run(capsys, "eval", "2^(" * 400 + "1" + ")" * 400)
+    assert (code, out.strip()) == (0, "|V|=402 |E|=401 |M|=1 sha256="
+                                      "02eaa5e16f5ea1a19bf7a001392ba4303de6215d70b7d9285515478a7e75c23c")
+    code, out, _ = run(capsys, "eval", "(" * 400 + "1 = 1" + ")" * 400)
+    assert (code, out.strip()) == (0, "True")
+    code, out, _ = run(capsys, "eval", "!" * 2000 + "1 = 1")
+    assert (code, out.strip()) == (0, "True")
+
+
+def test_leading_minus_goes_after_double_dash(capsys):
+    # argparse reads a leading "-" as an option
+    code, out, _ = run(capsys, "eval", "--let", "x=3", "--", "-x")
+    assert (code, out.strip()) == (0, "-3")
+    code, out, _ = run(capsys, "cmp", "--let", "x=3", "--", "-x", "1")
+    assert (code, out.strip()) == (0, "<")
 
 
 def test_cmp_tower(capsys):

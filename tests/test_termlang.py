@@ -1,6 +1,8 @@
 """Expression language: parsing, embeddings, realization, formula truth."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,51 @@ def test_parse_rejects(src):
         tl.parse(src)
 
 
+@pytest.mark.parametrize(
+    "src, message, position",
+    [
+        ("1 + (x = y)", "expected a term, found a relation", 4),
+        ("(x = y) <<^ 2", "expected a term, found a relation", 0),
+        ("x = y = z", "chained comparisons are not supported", 6),
+        ("3^(4)", "only base 2 exponentials exist here", 0),
+        ("x < y < z", "chained comparisons are not supported", 6),
+        ("!(x + 1)", "expected a relation, found a term", 1),
+        ("(x = y) + 1", "expected a term, found a relation", 0),
+        ("1 +", "expected a term", 3),
+        ("", "expected a term", 0),
+        ("(1", "expected ')'", 2),
+        ("tower(x)", "tower needs a literal or bound integer height", 6),
+        ("tower(-1)", "tower needs a literal or bound integer height", 6),
+        ("$", "unexpected character '$'", 0),
+        ("1 + !x", "expected a term", 4),
+        ("x = !y", "expected a term", 4),
+        ("-!x", "expected a term", 1),
+        ("2^(!x)", "expected a term", 3),
+        ("2^(x | y)", "expected ')'", 5),
+        ("2^(x = y)", "expected ')'", 5),
+        ("2^((x = y))", "expected a term, found a relation", 3),
+        ("-(x = y)", "expected a term, found a relation", 1),
+        ("x * (y < z)", "expected a term, found a relation", 4),
+        ("x + 1 & y = 1", "expected a relation, found a term", 0),
+        ("x = y | 1", "expected a relation, found a term", 8),
+        ("!x = 0 & 1", "expected a relation, found a term", 9),
+        ("x = 1 & y = 2 & 3", "expected a relation, found a term", 16),
+        ("x < (y = z) < 1", "expected a term, found a relation", 4),
+        ("(x = y) < 1 < 2", "expected a term, found a relation", 0),
+        ("()", "expected a term", 1),
+        ("(1 2)", "expected ')'", 3),
+        ("1)", "trailing input", 1),
+        ("x ^ 2", "trailing input", 2),
+        ("2 ^ x", "expected '('", 4),
+        ("tower(2", "expected ')'", 7),
+    ],
+)
+def test_parse_error_message_and_column(src, message, position):
+    with pytest.raises(tl.ParseError) as ei:
+        tl.parse(src)
+    assert (str(ei.value), ei.value.position) == (f"{message} (column {position})", position)
+
+
 def test_parse_error_position():
     with pytest.raises(tl.ParseError) as ei:
         tl.parse("12 @ 3")
@@ -344,8 +391,8 @@ def test_realize_with_shared_subterms_matches_strict_oracle():
 
     def make(rng):
         t = rand_shared_term(rng, rng.randrange(2, 6), ["x", "y"], [])
-        nodes, parents = tl._hash_cons(t)
-        shared.append(any(p > 1 and nodes[i][1] is not None for i, p in enumerate(parents)))
+        nodes, parents = tl._hash_cons(t, tm.Term)
+        shared.append(any(p > 1 and nodes[i][1] for i, p in enumerate(parents)))
         return t
 
     assert assert_matches_strict_oracle(random.Random(31), make) > 250
@@ -380,6 +427,44 @@ def test_shared_undefined_subterm_keeps_its_first_witness():
     r = tl.realize(tl.parse("((2 >>^ 1) + (2 >>^ 1)) - ((2 >>^ 1) + (5 >>^ 2))"))
     assert r == tl.Undefined((1, 1))
     assert tl.eval_formula(tl.parse("2 >>^ 1 = 1 & (3 >>^ 1) = (3 >>^ 1)")) == tl.Undefined((1, 0))
+
+
+def count_calls(monkeypatch, module, *names):
+    """Counts of calls to the named functions of module, filled as they run."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_formula_atoms_share_subterms(monkeypatch):
+    # tower(x) is built once for all four sides, and an atom reads the sign
+    # of its reduced difference without normalizing it
+    counts = count_calls(monkeypatch, tl.reduction, "reduce", "normalize")
+    x = 200
+    f = tl.parse("tower(x) < tower(x)+1 & tower(x)+2 = 2+tower(x)", {"x": x})
+    assert tl.eval_formula(f) is True
+    assert counts["reduce"] <= x + 10
+    assert counts["normalize"] == 0
+
+
+def test_deep_input_needs_no_recursion():
+    # nothing on the parse and evaluation paths recurses once per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        r = tl.realize(tl.parse("tower(300)+1 - tower(300)"))
+        deep = tl.eval_formula(tl.parse("!" * 300 + "1 = 1"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
+    assert deep is True
 
 
 def test_realize_mark_bound():
@@ -417,6 +502,23 @@ def test_eval_formula_three_valued():
     assert tl.eval_formula(tl.parse("1 = 1 | (3 >>^ 1) = 1")) is True
     assert isinstance(tl.eval_formula(tl.parse("(3 >>^ 1) = 1 & 1 = 1")), tl.Undefined)
     assert isinstance(tl.eval_formula(tl.parse("!((3 >>^ 1) = 1)")), tl.Undefined)
+
+
+@pytest.mark.parametrize(
+    "src, env, expect",
+    [
+        ("1 = 2 | (3 >>^ 1) = 1 & (3 >>^ 1) = 2", {}, tl.Undefined((1, 0, 0))),
+        ("(x >>^ 1) + 1 = 0 & 2 = (x >>^ 1) - 1 | 1 = 0", {"x": 3}, tl.Undefined((0, 0, 0, 0))),
+        ("!(1 = (3 >>^ 1))", {}, tl.Undefined((0, 1))),
+        # q is unbound: realizing the skipped atom would raise
+        ("1 = 0 & q = 1", {}, False),
+        ("1 = 1 | q = 1", {}, True),
+    ],
+)
+def test_eval_formula_witness_and_short_circuit(src, env, expect):
+    # an Undefined operand shared by two atoms names its path in the first
+    # one that is evaluated
+    assert tl.eval_formula(tl.parse(src), env) == expect
 
 
 def test_eval_formula_matches_oracle():
