@@ -37,13 +37,31 @@ from .circuit import (
 
 
 def _append(dst: PowerCircuit, src: PowerCircuit) -> dict:
-    """Copy src's graph (not its marks) into dst; old id -> new id."""
-    m = {}
-    for v in sorted(src._succ):
-        m[v] = dst.add_vertex(var=src._vars.get(v))
+    """Copy src's graph (not its marks) into dst; old id -> new id.
+
+    Fills dst's tables directly, in the order add_vertex and add_edge
+    would.  The per-edge checks cannot fail: src is a circuit, so its edge
+    signs are +-1 and it has no loops or duplicate edges, and the map is
+    injective into fresh ids.
+    """
+    dst._check_mutable()
+    base = dst._next_id
+    order = sorted(src._succ)
+    m = dict(zip(order, range(base, base + len(order))))
+    dst._next_id = base + len(order)
+    succ, pred = dst._succ, dst._pred
+    for w in m.values():
+        succ[w] = {}
+        pred[w] = set()
     for v, out in src._succ.items():
+        mv = m[v]
+        d = succ[mv]
         for t, s in out.items():
-            dst.add_edge(m[v], m[t], s)
+            mt = m[t]
+            d[mt] = s
+            pred[mt].add(mv)
+    if src._vars:
+        dst._vars.update((m[v], src._vars[v]) for v in order if v in src._vars)
     return m
 
 

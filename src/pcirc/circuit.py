@@ -488,22 +488,21 @@ def from_integer(n: int) -> PowerCircuit:
 
 
 def term_of(c: PowerCircuit) -> terms.Term:
-    """Syntax tree the circuit denotes, children in vertex-id order."""
-    memo = {}
+    """Syntax tree the circuit denotes, children in vertex-id order.
 
-    def vertex_term(v: int) -> terms.Term:
-        if v in memo:
-            return memo[v]
+    Vertex terms are built children first, in geometric order, so a deep
+    circuit needs no interpreter frame per level; a shared vertex's term is
+    one object, used by each parent.
+    """
+    memo = {}
+    for v in geometric_order(c):
         base = terms.Var(c._vars[v]) if v in c._vars else None
         if not c._succ[v]:
-            t = base if base is not None else terms.Const(0)
+            memo[v] = base if base is not None else terms.Const(0)
         else:
-            exp = _signed_fold(c._succ[v], vertex_term)
-            t = terms.MulPow2(base if base is not None else terms.Const(1), exp)
-        memo[v] = t
-        return t
-
-    return _signed_fold(c._marks, vertex_term)
+            exp = _signed_fold(c._succ[v], memo.__getitem__)
+            memo[v] = terms.MulPow2(base if base is not None else terms.Const(1), exp)
+    return _signed_fold(c._marks, memo.__getitem__)
 
 
 def _signed_fold(signed: dict, build) -> terms.Term:

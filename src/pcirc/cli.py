@@ -82,11 +82,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _term_arg(name: str, src: str, env: dict) -> tm.Term:
+    """The term one argument spells, parsed on its own; a parse error names
+    the argument and a column inside it."""
+    try:
+        t = termlang.parse(src, macro_env=env)
+    except ParseError as e:
+        raise ParseError(f"{name} argument: {e.message}", e.position) from None
+    if not isinstance(t, tm.Term):
+        raise ParseError(f"{name} argument: expected a term, found a relation", 0)
+    return t
+
+
 def cmd_cmp(args) -> int:
     env = _parse_let(args.let)
-    node = termlang.parse(f"({args.left}) - ({args.right})", macro_env=env)
-    if not isinstance(node, tm.Term):
-        raise ParseError("cmp wants two terms", 0)
+    node = tm.Sub(_term_arg("left", args.left, env), _term_arg("right", args.right, env))
     r = termlang.realize(node, env, max_vertices=args.max_vertices)
     if isinstance(r, termlang.Undefined):
         print("Undefined")

@@ -12,11 +12,22 @@ until it fits a free slot; at most one helper vertex per separation appears,
 which keeps the output within one vertex of the input.
 
 Each vertex costs one binary search.  Its last compares against the new
-neighbours already give both doubling bits of the slot.  After a doubling
-the vertex is worth exactly twice its twin, so the certificate names its
-next slot without a new search: it meets the twin's doubling partner, or
-it takes the free slot just above the twin, where only the right bit needs
-a compare.
+neighbours already give both doubling bits of the slot.  Most probes of
+that search are settled by the leading digits alone.  A digit sum free of
+superfluous pairs, with a positive leading digit of weight W, lies strictly
+between W/2 and 2W: the digits below add less than W, and a -W/2 right
+under +W would be a superfluous pair.  Certified values are distinct powers
+of two, so when the probed vertex's leading key is neither the searched
+sum's leading key, its half nor its double, the two leading weights
+W < W' are at least a factor 4 apart.  Then the smaller sum is below 2W
+and the larger above W'/2 >= 2W; being integers, they differ by at least
+2.  Such a probe is answered +-2, never +-1 or 0, from the ranks of the
+two leading keys, and only the other probes run the digit comparison.
+
+After a doubling the vertex is worth exactly twice its twin, so the
+certificate names its next slot without a new search: it meets the twin's
+doubling partner, or it takes the free slot just above the twin, where
+only the right bit needs a compare.
 
 The sweep starts from a certificate: the zero alone, or the seed that an
 arithmetic operation leaves on its result, the certificate of its largest
@@ -34,6 +45,12 @@ with nothing left to sweep: reduce returns it as it is, without a copy.
 
 Everything value-ordered here is proper: the sweep aborts with IMPROPER as
 soon as a vertex's exponent sum turns out negative.
+
+reduce is the sweep followed by one trim and a freeze.  sign of an
+uncertified circuit runs the same sweep and reads the top marked vertex
+off the sweep's certificate: a marked vertex is never dead, so the
+untrimmed order ranks the marks as the trimmed one would, and the copy is
+discarded without a trim.
 
 Dead vertices are trimmed once, after the sweep, never during it.  Surgery
 on the vertex being processed rewires only edges out of it and out of its
@@ -95,9 +112,12 @@ _VALUE_IS_ZERO = object()
 
 @dataclass
 class ReduceStats:
-    """Work counters, summed over every reduction that is passed the same
-    instance: ops counts comparison iterations plus structural rewrites, and
-    doublings and separations count the sweep's surgery."""
+    """Work counters, summed over every reduction, normalize or sign that
+    is passed the same instance: ops counts comparison iterations (one for
+    each search probe settled by its leading digits) plus structural
+    rewrites, and doublings and separations count the sweep's surgery.
+    sign counts exactly what reduce of the same circuit would, since the
+    trim it skips counts nothing."""
 
     ops: int = 0
     doublings: int = 0
@@ -206,15 +226,30 @@ class _State(KeyDomain):
         The search compared sv with both new neighbours last, so those
         compares already say whether each is an exact half or double.  A
         certified vertex with exactly sv's digits is found without a compare.
+        A probe whose leading key is neither sv's own, its half nor its
+        double is settled as +-2 from the two ranks; it counts one op, as
+        the one iteration compare_counted would take on it.  The other
+        probes compare with the probed vertex's memoized sum, which the
+        sweep holds for every certified vertex.
         """
         u = self.vertex_of.get(sv.digits)
         if u is not None:
             return self.rank[u], None
-        lo, hi = 1, len(self.order)
+        order, rank, doubles, sums, stats = self.order, self.rank, self.doubles, self.sums, self.stats
+        ra = rank[sv.digits[0][0]] if sv.digits else None
+        lo, hi = 1, len(order)
         left = right = False
         while lo < hi:
             mid = (lo + hi) // 2
-            r = self._cmp(sv, self.order[mid])
+            su = sums[order[mid]]
+            d = ra - rank[su.digits[0][0]] if ra is not None and su.digits else 0
+            if d > 1 or d == 1 and not doubles[ra - 1]:
+                r, it = 2, 1
+            elif d < -1 or d == -1 and not doubles[ra]:
+                r, it = -2, 1
+            else:
+                r, it = compare_counted(sv, su, self)
+            stats.ops += it
             if r == 0:
                 return mid, None
             if r < 0:
@@ -406,18 +441,15 @@ def _trivial_result(w: PowerCircuit, kind: CircuitKind) -> PowerCircuit:
     return w.freeze(kind, Certificate((only,), ()))
 
 
-def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
-    """Equivalent circuit with pairwise distinct vertex values, certified.
+def _sweep(c: PowerCircuit, stats: ReduceStats | None):
+    """Certify every vertex of a standardized copy of constant circuit c.
 
-    Returns IMPROPER when some vertex value is not a natural number.  Output
-    has at most one vertex more than the standardized input.  A certified
-    input leaves nothing to sweep and comes back as it is; a seeded one has
-    only the vertices outside its seed swept.
+    Returns IMPROPER; the frozen trivial circuit when the value is 0; or
+    the state whose order covers the copy, dead vertices included, neither
+    trimmed nor frozen.  reduce trims and freezes it; sign only reads it.
     """
     if not c.is_constant():
         raise VariableCircuitError("reduce needs a constant circuit")
-    if c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL):
-        return c
     w = c.copy()
     circ.standardize_inplace(w)
     if circ.is_trivial(w):
@@ -441,7 +473,25 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
             return IMPROPER
         if r is _VALUE_IS_ZERO:
             return _trivial_result(w, CircuitKind.REDUCED)
-    return w.freeze(CircuitKind.REDUCED, st.trim())
+    return st
+
+
+def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
+    """Equivalent circuit with pairwise distinct vertex values, certified.
+
+    Returns IMPROPER when some vertex value is not a natural number.  Output
+    has at most one vertex more than the standardized input.  A certified
+    input leaves nothing to sweep and comes back as it is; a seeded one has
+    only the vertices outside its seed swept.
+    """
+    if c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL):
+        if not c.is_constant():
+            raise VariableCircuitError("reduce needs a constant circuit")
+        return c
+    st = _sweep(c, stats)
+    if isinstance(st, _State):
+        return st.c.freeze(CircuitKind.REDUCED, st.trim())
+    return st
 
 
 def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
@@ -502,17 +552,21 @@ def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
 def sign(c: PowerCircuit, stats: ReduceStats | None = None):
     """-1, 0 or +1 without evaluating; IMPROPER for improper circuits.
 
-    On a certified circuit this reads the top marked vertex directly;
-    otherwise the circuit is reduced first.
+    On a certified circuit this reads the top marked vertex off its
+    certificate.  Otherwise it runs reduce's sweep and reads the top marked
+    vertex off the sweep's certificate, without trimming or freezing the
+    copy it then discards; stats counts the same work as reduce's would.
     """
-    if c.certificate is None or c.kind not in (CircuitKind.REDUCED, CircuitKind.NORMAL):
-        c = reduce(c, stats)
-        if c is IMPROPER:
-            return IMPROPER
-    if circ.is_trivial(c):
-        return 0
-    marks = c.marks
-    return next(marks[v] for v in reversed(c.certificate.order) if v in marks)
+    if c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL):
+        if circ.is_trivial(c):
+            return 0
+        order, marks = c.certificate.order, c.marks
+    else:
+        st = _sweep(c, stats)
+        if not isinstance(st, _State):
+            return IMPROPER if st is IMPROPER else 0
+        order, marks = st.order, st.c.marks
+    return next(marks[v] for v in reversed(order) if v in marks)
 
 
 def compare_circuits(a: PowerCircuit, b: PowerCircuit, stats: ReduceStats | None = None):

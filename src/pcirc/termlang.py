@@ -55,6 +55,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (column {position})")
+        self.message = message
         self.position = position
 
 

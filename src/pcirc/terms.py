@@ -58,37 +58,58 @@ class DivPow2(Term):
     rhs: Term
 
 
+def _fold(root, leaf, combine):
+    """Bottom-up value of a term or formula, with an explicit stack instead
+    of one interpreter frame per level: leaf(t) for a node without
+    operands (a constant, a variable or an atom), combine(t, *operand
+    values) for the others."""
+    out = []
+    stack = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        kids = _operands(t)
+        if not kids:
+            out.append(leaf(t))
+        elif not expanded:
+            stack.append((t, True))
+            stack += [(k, False) for k in reversed(kids)]
+        else:
+            args = out[len(out) - len(kids):]
+            del out[len(out) - len(kids):]
+            out.append(combine(t, *args))
+    return out[0]
+
+
+def _operands(t) -> tuple:
+    if isinstance(t, (Const, Var, Atom)):
+        return ()
+    if isinstance(t, Not):
+        return (t.sub,)
+    return (t.lhs, t.rhs)
+
+
 def term_size(t: Term) -> int:
     """Number of operations; constants and variables count zero."""
-    if isinstance(t, (Const, Var)):
-        return 0
-    return 1 + term_size(t.lhs) + term_size(t.rhs)
+    return _fold(t, lambda u: 0, lambda u, a, b: 1 + a + b)
+
+
+def _union(u, *parts) -> frozenset:
+    return frozenset().union(*parts)
 
 
 def term_vars(t: Term) -> frozenset:
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    return term_vars(t.lhs) | term_vars(t.rhs)
+    return _fold(t, lambda u: frozenset((u.name,)) if isinstance(u, Var) else frozenset(), _union)
 
 
 def count_var(t: Term, name: str) -> int:
     """Occurrences of one variable."""
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, Const):
-        return 0
-    return count_var(t.lhs, name) + count_var(t.rhs, name)
+    return _fold(t, lambda u: int(isinstance(u, Var) and u.name == name), lambda u, a, b: a + b)
 
 
 def count_const(t: Term, value: int) -> int:
     """Occurrences of one constant symbol."""
-    if isinstance(t, Const):
-        return 1 if t.value == value else 0
-    if isinstance(t, Var):
-        return 0
-    return count_const(t.lhs, value) + count_const(t.rhs, value)
+    return _fold(t, lambda u: int(isinstance(u, Const) and u.value == value),
+                 lambda u, a, b: a + b)
 
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, MulPow2: 3, DivPow2: 3}
@@ -96,22 +117,29 @@ _OPSYM = {Add: "+", Sub: "-", Mul: "*", MulPow2: "<<^", DivPow2: ">>^"}
 
 
 def pretty(t: Term) -> str:
-    return _pretty(t, 0)
+    return _fold(t, _pretty_leaf, _pretty_node)[0]
 
 
-def _pretty(t: Term, ctx: int) -> str:
+# pretty's fold yields (text, precedence); a parent parenthesizes an operand
+# whose precedence is below the context its side imposes, and a precedence
+# of None never needs parentheses
+def _pretty_leaf(t: Term):
     if isinstance(t, Const):
-        return str(t.value) if t.value >= 0 else f"({t.value})"
-    if isinstance(t, Var):
-        return t.name
+        return (str(t.value) if t.value >= 0 else f"({t.value})"), None
+    return t.name, None
+
+
+def _pretty_node(t: Term, lhs, rhs):
     if isinstance(t, MulPow2) and t.lhs == Const(1):
-        return f"2^({_pretty(t.rhs, 0)})"
+        return f"2^({rhs[0]})", None
     prec = _PREC[type(t)]
-    if prec == 3:  # right associative
-        s = f"{_pretty(t.lhs, prec + 1)} {_OPSYM[type(t)]} {_pretty(t.rhs, prec)}"
-    else:
-        s = f"{_pretty(t.lhs, prec)} {_OPSYM[type(t)]} {_pretty(t.rhs, prec + 1)}"
-    return f"({s})" if prec < ctx else s
+    ctx_l, ctx_r = (prec + 1, prec) if prec == 3 else (prec, prec + 1)  # shifts: right associative
+    return f"{_wrap(lhs, ctx_l)} {_OPSYM[type(t)]} {_wrap(rhs, ctx_r)}", prec
+
+
+def _wrap(text_prec, ctx: int) -> str:
+    text, prec = text_prec
+    return f"({text})" if prec is not None and prec < ctx else text
 
 
 class Formula:
@@ -145,17 +173,15 @@ class Not(Formula):
 
 
 def formula_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return term_vars(f.lhs) | term_vars(f.rhs)
-    if isinstance(f, Not):
-        return formula_vars(f.sub)
-    return formula_vars(f.lhs) | formula_vars(f.rhs)
+    return _fold(f, lambda a: term_vars(a.lhs) | term_vars(a.rhs), _union)
 
 
 def pretty_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f"{pretty(f.lhs)} {f.rel} {pretty(f.rhs)}"
+    return _fold(f, lambda a: f"{pretty(a.lhs)} {a.rel} {pretty(a.rhs)}", _pretty_connective)
+
+
+def _pretty_connective(f: Formula, *parts) -> str:
     if isinstance(f, Not):
-        return f"!({pretty_formula(f.sub)})"
+        return f"!({parts[0]})"
     sym = "&" if isinstance(f, And) else "|"
-    return f"({pretty_formula(f.lhs)}) {sym} ({pretty_formula(f.rhs)})"
+    return f"({parts[0]}) {sym} ({parts[1]})"

@@ -99,6 +99,19 @@ def test_cmp_tower(capsys):
     assert (code, out.strip()) == (0, "<")
 
 
+def test_cmp_parses_each_argument_on_its_own(capsys):
+    # spliced into one source, these two read as (5) + (100) - (1) and printed >
+    code, out, err = run(capsys, "cmp", "5) + (100", "1")
+    assert (code, out) == (2, "")
+    assert "parse error: left argument: trailing input (column 1)" in err
+    code, out, err = run(capsys, "cmp", "1 < 2", "1")
+    assert (code, out) == (2, "")
+    assert "parse error: left argument: expected a term, found a relation" in err
+    code, out, err = run(capsys, "cmp", "1", "(2")
+    assert (code, out) == (2, "")
+    assert "parse error: right argument: expected ')' (column 2)" in err
+
+
 def test_normalize_json_round_trip(tmp_path, capsys):
     from pcirc.arithmetic import add
 

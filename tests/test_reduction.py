@@ -591,3 +591,144 @@ def test_mutated_copy_of_a_seeded_union_is_swept_afresh():
         verify_certificate(r)
         assert eval_bignum(r, bit_budget=1 << 20) == want
     assert edited > 100
+
+
+def tower_diff(n, a, b):
+    t = gen.tower_circuit(n)
+    return ar.subtract(ar.add(t, from_integer(a)), ar.add(t, from_integer(b)))
+
+
+def certified_samples(seed):
+    """Reduced and normal circuits of random sums, twin DAGs and towers."""
+    rng = random.Random(seed)
+    raw = [random_sum(rng, rng.randint(2, 8))[0] for _ in range(6)]
+    for _ in range(6):
+        c = positive_dag(rng, rng.randint(5, 50))
+        raw.append(ar.subtract(ar.add(c, from_integer(1)), relabel(c)))
+        raw.append(ar.add(c, relabel(c)))
+    raw += [tower_diff(rng.randint(1, 40), rng.randint(0, 99), 0) for _ in range(4)]
+    raw += [gen.random_circuit(rng, rng.randint(5, 60)) for _ in range(40)]
+    out = []
+    for c in raw:
+        for f in (reduce, normalize):
+            r = f(c)
+            if r is not IMPROPER and not circ.is_trivial(r):
+                out.append(r)
+    return out
+
+
+def test_distant_leading_keys_settle_a_compare():
+    # the leading-digit rule the sweep's search relies on: certified sums
+    # whose leading keys are neither equal nor a doubling pair compare as
+    # +-2 in one iteration, signed as the leading keys' ranks
+    settled = 0
+    for c in certified_samples(11):
+        cert = c.certificate
+        st = reduction._State(c, cert.order, cert.doubles)
+        sums = [(v, st.sum_of(v)) for v in cert.order[1:]]
+        for u, su in sums:
+            for w, sw in sums:
+                if not su or not sw:
+                    continue
+                ka, kb = su.digits[0][0], sw.digits[0][0]
+                ra, rb = st.rank[ka], st.rank[kb]
+                if ra == rb or st.is_double(ka, kb) or st.is_double(kb, ka):
+                    continue
+                assert reduction.compare_counted(su, sw, st) == (2 if ra > rb else -2, 1)
+                settled += 1
+    assert settled > 5000
+
+
+def test_sign_and_normalize_count_what_they_counted_before():
+    # ReduceStats totals recorded before the search settled probes from
+    # leading digits and before sign stopped trimming: unchanged work
+    def stats_of(cases):
+        s, n = ReduceStats(), ReduceStats()
+        for c in cases:
+            sign(c, s)
+            normalize(c, n)
+        return (s.ops, s.doublings, s.separations), (n.ops, n.doublings, n.separations)
+
+    assert stats_of([tower_diff(100, 1, 0)]) == ((589, 102, 102),) * 2
+    assert stats_of([tower_diff(400, 1, 0)]) == ((3109, 402, 402),) * 2
+    rng = random.Random(77)
+    dags = [positive_dag(rng, rng.randint(5, 60)) for _ in range(20)]
+    twins = [ar.subtract(ar.add(c, from_integer(k)), relabel(c)) for c in dags for k in (0, 1)]
+    assert stats_of(twins) == ((2683, 818, 818),) * 2
+    rng = random.Random(78)
+    assert stats_of([gen.random_circuit(rng, rng.randint(1, 80)) for _ in range(200)]) == (
+        (2360, 411, 411),) * 2
+    rng = random.Random(79)
+    towers = [tower_diff(rng.randint(1, 60), rng.randint(0, 99), rng.randint(0, 99))
+              for _ in range(20)]
+    assert stats_of(towers) == ((3108, 727, 727),) * 2
+
+
+def test_tower_sign_needs_a_few_compares(monkeypatch):
+    # every vertex of tower(n) + 1 - tower(n) meets its twin by hash or
+    # settles its probes from the leading digits; before, 486, 2706 and
+    # 13974 digit comparisons
+    n = count_sweep_work(monkeypatch)
+    for k in (100, 400, 1600):
+        d = tower_diff(k, 1, 0)
+        n["compares"] = 0
+        assert sign(d) == 1
+        assert n["compares"] <= 5
+
+
+def test_sign_matches_reduce_and_never_trims(monkeypatch):
+    rng = random.Random(80)
+    cases = [gen.random_circuit(rng, rng.randint(1, 60)) for _ in range(300)]
+    cases += [tower_diff(rng.randint(1, 30), a, b) for a, b in ((0, 0), (1, 0), (0, 5))]
+    cases += [ar.subtract(c, relabel(c)) for c in (positive_dag(rng, 20) for _ in range(10))]
+    kinds = set()
+    for c in cases:
+        r = reduce(c)
+        want = IMPROPER if r is IMPROPER else sign(r)
+        with monkeypatch.context() as m:
+            def trim(self):
+                raise AssertionError("sign trimmed its copy")
+
+            m.setattr(reduction._State, "trim", trim)
+            got = sign(c)
+        assert got is want if want is IMPROPER else got == want
+        kinds.add("improper" if want is IMPROPER else want)
+    assert kinds == {"improper", -1, 0, 1}
+
+
+def reference_append(dst, src):
+    """_append one checked add_vertex and add_edge at a time."""
+    m = {}
+    for v in sorted(src._succ):
+        m[v] = dst.add_vertex(var=src._vars.get(v))
+    for v, out in src._succ.items():
+        for t, s in out.items():
+            dst.add_edge(m[v], m[t], s)
+    return m
+
+
+def test_bulk_append_matches_a_checked_copy(monkeypatch):
+    rng = random.Random(81)
+
+    def operand(with_var):
+        k = rng.random()
+        if with_var and k < 0.2:
+            return ar.add(circ.var_circuit("x"), from_integer(rng.randrange(-99, 99)))
+        if k < 0.5:
+            return from_integer(rng.randrange(-(2**40), 2**40))
+        r = reduce(gen.random_circuit(rng, rng.randint(1, 40)))
+        return r if r is not IMPROPER else gen.random_circuit(rng, rng.randint(1, 40)).freeze()
+
+    def tables(c):
+        return (circ.to_json_dict(c), c._next_id, list(c._vars.items()),
+                [(v, list(c._pred[v]), list(c._succ[v].items())) for v in c._succ])
+
+    ops = (ar.add, ar.subtract, ar.mul_pow2, ar.multiply, lambda a, b: ar.exp2(a))
+    for _ in range(150):
+        a, b = operand(True), operand(False)
+        for op in ops:
+            got = tables(op(a, b))
+            with monkeypatch.context() as m:
+                m.setattr(ar, "_append", reference_append)
+                want = tables(op(a, b))
+            assert got == want

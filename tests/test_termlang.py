@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcirc import circuit as circ
+from pcirc import generators as gen
 from pcirc import termlang as tl
 from pcirc import terms as tm
 
@@ -465,6 +466,24 @@ def test_deep_input_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
     assert deep is True
+
+
+def test_term_helpers_need_no_recursion():
+    # parse and realize take tower(1200); so do the helpers that walk terms,
+    # formulas and circuits
+    t = tl.parse("tower(1200)")
+    f = tl.parse("!" * 2000 + "(x = tower(2))")
+    tower = gen.tower_circuit(1200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = (tm.term_size(t), tm.term_vars(t), tm.count_var(t, "x"), tm.count_const(t, 1),
+               tm.pretty(t), tm.formula_vars(f), tm.pretty_formula(f),
+               tm.pretty(circ.term_of(tower)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (1200, frozenset(), 0, 1201, "2^(" * 1200 + "1" + ")" * 1200, {"x"},
+                   "!(" * 2000 + "x = 2^(2^(1))" + ")" * 2000, "2^(" * 1201 + "0" + ")" * 1201)
 
 
 def test_realize_mark_bound():
