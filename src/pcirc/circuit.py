@@ -405,6 +405,17 @@ def standardize_inplace(c: PowerCircuit):
     return c
 
 
+def _is_standard(c: PowerCircuit) -> bool:
+    """Whether standardize_inplace would leave c as it is, up to the ids of
+    the trivial circuit."""
+    if is_trivial(c):
+        return True
+    zeros = c.zero_vertices()
+    return (len(zeros) <= 1 and not any(z in c._marks for z in zeros)
+            and all(c._succ[u] == {z: 1} for z in zeros for u in c._pred[z])
+            and len(reachable_from_marks(c)) == len(c._succ))
+
+
 def standardize(c: PowerCircuit) -> PowerCircuit:
     w = c.copy()
     standardize_inplace(w)
@@ -471,12 +482,21 @@ def from_integer(n: int) -> PowerCircuit:
             exps[e] = compact_of_integer(e)
             todo.extend(exps[e].exponents())
     kept = sorted(exps)
-    z = c.add_vertex()
-    power = {e: c.add_vertex() for e in kept}
-    c.add_edge(power[0], z, 1)
+    # the tables are filled directly, in the order add_vertex and add_edge
+    # would: vertex 0 is the zero, then one vertex per exponent, ascending;
+    # every exponent's compact form is over kept exponents, so no check fails
+    z = 0
+    power = dict(zip(kept, range(1, len(kept) + 1)))
+    c._next_id = len(kept) + 1
+    succ = c._succ = {v: {} for v in range(c._next_id)}
+    pred = c._pred = {v: set() for v in range(c._next_id)}
+    succ[power[0]][z] = 1
+    pred[z].add(power[0])
     for e in kept:
+        pe = power[e]
         for q, ec in exps[e]:
-            c.add_edge(power[e], power[q], ec)
+            succ[pe][power[q]] = ec
+            pred[power[q]].add(pe)
     for q, ec in comp:
         c.set_mark(power[q], sign * ec)
     order = (z,) + tuple(power[e] for e in kept)
@@ -577,9 +597,13 @@ def from_json_dict(doc: dict) -> PowerCircuit:
         c.validate()
         kind = CircuitKind(doc.get("kind", CircuitKind.GENERAL.value))
         cert_doc = doc.get("certificate")
-        if (cert_doc is None) != (kind is CircuitKind.GENERAL):
+        if (cert_doc is None) == (kind in (CircuitKind.REDUCED, CircuitKind.NORMAL)):
             raise CertificateError("reduced and normal circuits carry a certificate, "
-                                   "general ones do not")
+                                   "standard and general ones do not")
+        if kind is CircuitKind.STANDARD:
+            if not _is_standard(c):
+                raise CircuitInvariantError("circuit claims to be standard but is not")
+            return c.freeze(kind)
         if cert_doc is None:
             return c
         order = tuple(int(v) for v in cert_doc["order"])

@@ -47,21 +47,21 @@ def _dump_circuit(c: circ.PowerCircuit) -> str:
     return json.dumps(circ.to_json_dict(c), sort_keys=True, separators=(",", ":"))
 
 
-def _realize_arg(expr: str, args):
-    env = _parse_let(args.let)
-    t = termlang.parse(expr, macro_env=env)
-    if not isinstance(t, tm.Term):
-        raise ParseError("expected a term, found a relation", 0)
-    return termlang.realize(t, env=env, max_vertices=args.max_vertices)
-
-
-def _print_stats(c: circ.PowerCircuit, oracle_bits: int):
+def _print_stats(c: circ.PowerCircuit, oracle_bits: int) -> int:
+    """Print the integer, or the sizes and sha256 of the normal form when
+    it is too wide; exit code 1 for an improper circuit."""
     n = circ.eval_bignum(c, bit_budget=oracle_bits)
     if n is not BUDGET_EXCEEDED and n is not IMPROPER:
         print(n)
-        return
+        return 0
+    if c.kind is not circ.CircuitKind.NORMAL:
+        c = reduction.normalize(c)
+        if c is IMPROPER:
+            print("Improper", file=sys.stderr)
+            return 1
     digest = hashlib.sha256(circ.canonical_bytes(c)).hexdigest()
     print(f"|V|={c.n_vertices()} |E|={c.n_edges()} |M|={len(c.marks)} sha256={digest}")
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -78,8 +78,7 @@ def cmd_eval(args) -> int:
     if isinstance(r, termlang.Undefined):
         print("Undefined")
         return 1
-    _print_stats(r, args.oracle_bits)
-    return 0
+    return _print_stats(r, args.oracle_bits)
 
 
 def _term_arg(name: str, src: str, env: dict) -> tm.Term:
@@ -115,6 +114,12 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+def _realize_arg(expr: str, args):
+    env = _parse_let(args.let)
+    t = _term_arg("input", expr, env)
+    return termlang.realize(t, env=env, max_vertices=args.max_vertices)
+
+
 def _input_circuit(args):
     """Inline expression, or a JSON file when the input names one."""
     if args.input == "-" or os.path.exists(args.input):
@@ -133,8 +138,7 @@ def cmd_stats(args) -> int:
     cert = "none" if c.certificate is None else f"{len(c.certificate.order)} vertices"
     print(f"kind={c.kind.value} |V|={c.n_vertices()} |E|={c.n_edges()} "
           f"|M|={len(c.marks)} size={c.size()} certificate={cert}")
-    _print_stats(c, args.oracle_bits)
-    return 0
+    return _print_stats(c, args.oracle_bits)
 
 
 def cmd_export(args) -> int:

@@ -8,17 +8,19 @@ powers; an operator whose operand has the wrong kind is a syntax error at
 that position, so "1 + (x = y)" fails the way it should.
 
 Evaluation never touches big integers.  A term or formula is first
-hash-consed into a DAG of its distinct subterms and subformulas, so a
-subterm that occurs twice, like tower(x) in tower(x)+1 - tower(x) or in two
-atoms of one formula, is evaluated once; its value is held only until its
-last parent has taken it.  One post-order walk then maps the DAG bottom-up
-to power circuits, reducing after every operation, so definedness of each
-quotient is decided structurally; each reduction starts from the
-certificate of the larger reduced operand and sweeps only the rest.  An
-atom is the sign of its reduced difference circuit, and a connective
-decided by its first operand never realizes its second.  The parser and
-the walk keep explicit stacks, so nesting depth costs time and memory but
-no interpreter recursion.  Division making a value leave the integers
+hash-consed by `terms.dag`, the one traversal of the term structure, into
+a DAG of its distinct subterms and subformulas, so a subterm that occurs
+twice, like tower(x) in tower(x)+1 - tower(x) or in two atoms of one
+formula, is evaluated once; its value is held only until its last parent
+has taken it.  One post-order walk then maps the DAG bottom-up to power
+circuits, reducing after every operation, so definedness of each quotient
+is decided structurally; each reduction starts from the certificate of the
+larger reduced operand and sweeps only the rest.  An atom is the sign of
+its reduced difference circuit, and a connective decided by its first
+operand never realizes its second, which is why this walk is its own and
+not a `terms.fold`.  The structural embedding `tau` is a fold.  The parser
+and the walks keep explicit stacks, so nesting depth costs time and memory
+but no interpreter recursion.  Division making a value leave the integers
 yields Undefined carrying the path to the offending subterm, and a
 vertex-count ceiling turns runaway products into CircuitBudgetError
 instead of an out-of-memory kill.
@@ -47,6 +49,8 @@ from .terms import (
     Sub,
     Term,
     Var,
+    dag,
+    fold,
 )
 
 
@@ -247,7 +251,7 @@ def parse(src: str, macro_env: dict | None = None):
     return _Parser(_tokenize(src), macro_env or {}).parse()
 
 
-# -- the hash-consed DAG -----------------------------------------------------
+# -- operations --------------------------------------------------------------
 
 # names, not functions: looked up on the module at call time, so a wrapper
 # installed on `arithmetic` sees every call; an atom is decided by the sign
@@ -267,57 +271,6 @@ def _apply(t, a: PowerCircuit, b: PowerCircuit) -> PowerCircuit:
     return getattr(arithmetic, _OPERATION[type(t)])(a, b)
 
 
-def _operands(u):
-    """The operands of a node, left to right, each with the kind it must have."""
-    if isinstance(u, (Const, Var)):
-        return ()
-    if isinstance(u, Not):
-        return ((u.sub, Formula),)
-    if isinstance(u, (And, Or)):
-        return ((u.lhs, Formula), (u.rhs, Formula))
-    if type(u) in _OPERATION:
-        return ((u.lhs, Term), (u.rhs, Term))
-    raise TypeError(f"not a term or formula: {u!r}")
-
-
-def _hash_cons(root, kind):
-    """root, a term or formula of the given kind, as a DAG of its distinct
-    subterms and subformulas, built without recursion.
-
-    Returns (nodes, parents): nodes[i] is (node, operand ids), listed
-    operands first and the root last; parents[i] counts the references to
-    id i from other nodes, so an operand used twice by one node counts
-    twice.
-    """
-    ids = {}  # structural key -> id
-    of = {}  # id() of a node object -> its id; root keeps every object alive
-    nodes = []
-    parents = []
-    stack = [(root, kind, False)]
-    while stack:
-        u, want, expanded = stack.pop()
-        if not isinstance(u, want):
-            raise TypeError(f"not a {want.__name__.lower()}: {u!r}")
-        if id(u) in of:
-            continue
-        operands = _operands(u)
-        if operands and not expanded:
-            stack.append((u, want, True))
-            stack += [(c, k, False) for c, k in reversed(operands)]
-            continue
-        kids = tuple(of[id(c)] for c, _ in operands)
-        key = (type(u), u.rel if isinstance(u, Atom) else None, kids) if kids else u
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(nodes)
-            nodes.append((u, kids))
-            parents.append(0)
-            for k in kids:
-                parents[k] += 1
-        of[id(u)] = i
-    return nodes, parents
-
-
 # -- structural embedding ----------------------------------------------------
 
 
@@ -330,20 +283,13 @@ def tau(t: Term) -> PowerCircuit:
     improper; properness is the evaluator's problem, not the embedding's.
     A subterm that occurs twice is embedded once and appended twice.
     """
-    nodes, parents = _hash_cons(t, Term)
-    out = []
-    for u, kids in nodes:
-        if isinstance(u, Const):
-            out.append(circ.from_integer(u.value) if u.value else circ.zero_circuit())
-        elif isinstance(u, Var):
-            out.append(circ.var_circuit(u.name))
-        else:
-            out.append(_apply(u, *(out[k] for k in kids)))
-            for k in kids:
-                parents[k] -= 1
-                if not parents[k]:
-                    out[k] = None
-    return out[-1]
+    return fold(t, _embed_leaf, _apply, Term)
+
+
+def _embed_leaf(u) -> PowerCircuit:
+    if isinstance(u, Const):
+        return circ.from_integer(u.value) if u.value else circ.zero_circuit()
+    return circ.var_circuit(u.name)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -397,7 +343,7 @@ def _value(u, args: list, env: dict, max_vertices: int):
 def _evaluate(root, kind, env: dict, max_vertices: int):
     """A reduced circuit for a term, a bool for a formula, or Undefined.
 
-    One post-order walk over the hash-consed DAG, with an explicit stack.
+    One post-order walk over `terms.dag`, with an explicit stack.
     Each distinct node is evaluated once, however often it occurs: a value
     with more than one parent waits in the memo until its last parent has
     taken it, and one with a single parent is dropped once that parent is
@@ -405,7 +351,7 @@ def _evaluate(root, kind, env: dict, max_vertices: int):
     finished left to right and a node stops at the first one that decides
     it, so an atom a connective skips is never realized.
     """
-    nodes, parents = _hash_cons(root, kind)
+    nodes, parents = dag(root, kind)
     memo = {}  # id -> [value, parents still to take it]
     done = []  # values of finished operands whose node is not finished
     stack = [(len(nodes) - 1, 0)]  # (id, operands finished)

@@ -1,11 +1,13 @@
 """Power circuit data structure: evaluation, standard form, serialization."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcirc import circuit as circ
+from pcirc import generators as gen
 from pcirc.circuit import (
     BUDGET_EXCEEDED,
     IMPROPER,
@@ -18,6 +20,7 @@ from pcirc.circuit import (
     canonical_bytes,
     eval_bignum,
     from_integer,
+    from_json,
     from_json_dict,
     geometric_order,
     is_trivial,
@@ -26,6 +29,7 @@ from pcirc.circuit import (
     standardize,
     term_of,
     to_dot,
+    to_json,
     to_json_dict,
     var_circuit,
     zero_circuit,
@@ -198,6 +202,52 @@ def test_from_integer_round_trip(n):
     assert eval_bignum(from_integer(n)) == n
 
 
+def checked_from_integer(n):
+    """from_integer as built through the checked add_vertex and add_edge."""
+    from pcirc.circuit import Certificate
+    from pcirc.signed_binary import compact_of_integer
+
+    c = PowerCircuit()
+    if n == 0:
+        v = c.add_vertex()
+        c.set_mark(v, 1)
+        return c.freeze(CircuitKind.NORMAL, Certificate((v,), ()))
+    comp = compact_of_integer(abs(n))
+    exps = {}
+    todo = list(comp.exponents())
+    while todo:
+        e = todo.pop()
+        if e not in exps:
+            exps[e] = compact_of_integer(e)
+            todo.extend(exps[e].exponents())
+    kept = sorted(exps)
+    z = c.add_vertex()
+    power = {e: c.add_vertex() for e in kept}
+    c.add_edge(power[0], z, 1)
+    for e in kept:
+        for q, ec in exps[e]:
+            c.add_edge(power[e], power[q], ec)
+    for q, ec in comp:
+        c.set_mark(power[q], (1 if n > 0 else -1) * ec)
+    order = (z,) + tuple(power[e] for e in kept)
+    doubles = (False,) + tuple(kept[i + 1] == kept[i] + 1 for i in range(len(kept) - 1))
+    return c.freeze(CircuitKind.NORMAL, Certificate(order, doubles))
+
+
+def test_from_integer_matches_checked_build():
+    # from_integer fills its tables directly; the graph, marks and
+    # certificate are those of the checked build, edge insertion order too
+    rng = random.Random(23)
+    values = [0, 1, -1] + list(range(-40, 41))
+    values += [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 1025)) for _ in range(300)]
+    values += [2**1023, -(2**1024 - 1)]
+    for n in values:
+        got, want = from_integer(n), checked_from_integer(n)
+        assert to_json_dict(got) == to_json_dict(want), n
+        assert list(got._succ.items()) == list(want._succ.items()), n
+        assert got._pred == want._pred and got._next_id == want._next_id, n
+
+
 def test_standardize_merges_zeros_and_strips_redundant_edges():
     c = PowerCircuit()
     z1, z2 = c.add_vertex(), c.add_vertex()
@@ -275,6 +325,37 @@ def test_json_round_trip_certified():
     back = from_json_dict(to_json_dict(c))
     assert back.kind is CircuitKind.NORMAL
     assert canonical_bytes(back) == canonical_bytes(c)
+
+
+def test_json_round_trip_standard():
+    for seed in range(12):
+        rng = random.Random(seed)
+        c = standardize(gen.random_circuit(rng, rng.randrange(2, 30)))
+        back = from_json(to_json(c))
+        assert back.kind is CircuitKind.STANDARD
+        assert to_json_dict(back) == to_json_dict(c)
+
+
+def test_json_certificate_iff_reduced_or_normal():
+    cert = to_json_dict(from_integer(5))["certificate"]
+    std = to_json_dict(standardize(build([(1, 0, 1), (2, 1, 1)], {2: 1})))
+    for kind in ("standard", "general"):
+        with pytest.raises(CertificateError, match="standard and general"):
+            from_json_dict({**std, "kind": kind, "certificate": cert})
+    for kind in ("reduced", "normal"):
+        with pytest.raises(CertificateError, match="standard and general"):
+            from_json_dict({**std, "kind": kind})
+
+
+def test_json_standard_claim_is_checked():
+    # two zero leaves, an unreachable vertex, a marked zero, a needless zero edge
+    for edges, marks in (([(2, 0, 1), (3, 1, 1)], {2: 1, 3: 1}),
+                         ([(1, 0, 1), (2, 1, 1)], {1: 1}),
+                         ([(1, 0, 1)], {1: 1, 0: 1}),
+                         ([(1, 0, 1), (2, 1, 1), (2, 0, 1)], {2: 1})):
+        doc = {**to_json_dict(build(edges, marks)), "kind": "standard"}
+        with pytest.raises(CircuitInvariantError, match="standard"):
+            from_json_dict(doc)
 
 
 def test_json_rejects_malformed():

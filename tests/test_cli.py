@@ -124,7 +124,7 @@ def test_normalize_json_round_trip(tmp_path, capsys):
     assert circ.canonical_bytes(loaded) == circ.canonical_bytes(circ.from_integer(6))
 
 
-def test_normalize_improper(tmp_path, capsys):
+def improper_circuit():
     c = circ.PowerCircuit()
     z = c.add_vertex()
     v = c.add_vertex()
@@ -132,8 +132,12 @@ def test_normalize_improper(tmp_path, capsys):
     c.add_edge(u, z, 1)
     c.add_edge(v, u, -1)
     c.set_mark(v, 1)
+    return c
+
+
+def test_normalize_improper(tmp_path, capsys):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(circ.to_json_dict(c)))
+    p.write_text(json.dumps(circ.to_json_dict(improper_circuit())))
     code, _, err = run(capsys, "normalize", str(p))
     assert code == 1
     assert "Improper" in err
@@ -180,6 +184,30 @@ def test_stats_file(tmp_path, capsys):
     assert code == 0
     assert "kind=normal" in out
     assert out.strip().endswith("7")
+
+
+def test_stats_improper_file(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(circ.to_json(improper_circuit()))
+    code, out, err = run(capsys, "stats", str(p))
+    assert code == 1
+    assert out.startswith("kind=general")
+    assert "Improper" in err
+
+
+def test_stats_hashes_the_normal_form(tmp_path, capsys):
+    # an uncertified circuit too wide for the oracle is normalized first
+    from pcirc.generators import tower_circuit
+
+    p = tmp_path / "tower.json"
+    p.write_text(circ.to_json(tower_circuit(6)))
+    code, out, _ = run(capsys, "stats", str(p))
+    assert code == 0
+    assert out.splitlines()[0].startswith("kind=general")
+    code, expr_out, _ = run(capsys, "stats", "tower(6)")
+    assert code == 0
+    assert out.splitlines()[-1] == expr_out.splitlines()[-1]
+    assert "sha256=" in out.splitlines()[-1]
 
 
 def test_export_dot(capsys):

@@ -1,5 +1,6 @@
 """Expression language: parsing, embeddings, realization, formula truth."""
 
+import dataclasses
 import inspect
 import random
 import sys
@@ -392,7 +393,7 @@ def test_realize_with_shared_subterms_matches_strict_oracle():
 
     def make(rng):
         t = rand_shared_term(rng, rng.randrange(2, 6), ["x", "y"], [])
-        nodes, parents = tl._hash_cons(t, tm.Term)
+        nodes, parents = tm.dag(t, tm.Term)
         shared.append(any(p > 1 and nodes[i][1] for i, p in enumerate(parents)))
         return t
 
@@ -484,6 +485,191 @@ def test_term_helpers_need_no_recursion():
         sys.setrecursionlimit(limit)
     assert got == (1200, frozenset(), 0, 1201, "2^(" * 1200 + "1" + ")" * 1200, {"x"},
                    "!(" * 2000 + "x = 2^(2^(1))" + ")" * 2000, "2^(" * 1201 + "0" + ")" * 1201)
+
+
+def test_node_equality_hash_and_repr_need_no_recursion():
+    # terms compare, hash and print through one walk of their DAG
+    t, same, lower = (tl.parse(f"tower({k})") for k in (1200, 1200, 1199))
+    f, g = (tl.parse("!" * 2000 + "(x = tower(2))") for _ in range(2))
+    h = tl.parse("!" * 2000 + "(x = tower(3))")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = (t == same, t != same, t == lower, t != lower, hash(t) == hash(same),
+               f == g, f != g, f == h, f != h, hash(f) == hash(g), t == f)
+        keys = {t, same, lower, f, g, h}
+        found = (same in keys, tl.parse("tower(1198)") in keys)
+        texts = repr(t), repr(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (True, False, False, True, True, True, False, False, True, True, False)
+    assert len(keys) == 4 and found == (True, False)
+    assert texts[0] == "MulPow2(lhs=Const(value=1), rhs=" * 1200 + "Const(value=1)" + ")" * 1200
+    assert texts[1] == ("Not(sub=" * 2000 + "Atom(lhs=Var(name='x'), rel='=', rhs="
+                        + repr(tl.parse("tower(2)")) + ")" + ")" * 2000)
+
+
+def test_repr_keeps_the_dataclass_format():
+    assert repr(tl.parse("x + -1 < 2^(y)")) == (
+        "Atom(lhs=Add(lhs=Var(name='x'), rhs=Sub(lhs=Const(value=0), rhs=Const(value=1))), "
+        "rel='<', rhs=MulPow2(lhs=Const(value=1), rhs=Var(name='y')))")
+    assert repr(tl.parse("!(1 = 1) | 2 <= 3 & 0b11 >>^ 1 < z * 2")) == (
+        "Or(lhs=Not(sub=Atom(lhs=Const(value=1), rel='=', rhs=Const(value=1))), "
+        "rhs=And(lhs=Atom(lhs=Const(value=2), rel='<=', rhs=Const(value=3)), "
+        "rhs=Atom(lhs=DivPow2(lhs=Const(value=3), rhs=Const(value=1)), rel='<', "
+        "rhs=Mul(lhs=Var(name='z'), rhs=Const(value=2)))))")
+
+
+# the helpers as they were defined before they became folds: one
+# interpreter frame per level, a tree and not a DAG
+
+
+def ref_term_size(t):
+    if isinstance(t, (tm.Const, tm.Var)):
+        return 0
+    return 1 + ref_term_size(t.lhs) + ref_term_size(t.rhs)
+
+
+def ref_term_vars(t):
+    if isinstance(t, tm.Var):
+        return frozenset((t.name,))
+    if isinstance(t, tm.Const):
+        return frozenset()
+    return ref_term_vars(t.lhs) | ref_term_vars(t.rhs)
+
+
+def ref_count(t, leaf):
+    if isinstance(t, (tm.Const, tm.Var)):
+        return int(leaf(t))
+    return ref_count(t.lhs, leaf) + ref_count(t.rhs, leaf)
+
+
+REF_PREC = {tm.Add: 1, tm.Sub: 1, tm.Mul: 2, tm.MulPow2: 3, tm.DivPow2: 3}
+REF_SYM = {tm.Add: "+", tm.Sub: "-", tm.Mul: "*", tm.MulPow2: "<<^", tm.DivPow2: ">>^"}
+
+
+def ref_pretty(t):
+    """(text, precedence) of a term."""
+    if isinstance(t, tm.Const):
+        return (str(t.value) if t.value >= 0 else f"({t.value})"), None
+    if isinstance(t, tm.Var):
+        return t.name, None
+    lhs, rhs = ref_pretty(t.lhs), ref_pretty(t.rhs)
+    if isinstance(t, tm.MulPow2) and t.lhs == tm.Const(1):
+        return f"2^({rhs[0]})", None
+    prec = REF_PREC[type(t)]
+    ctx_l, ctx_r = (prec + 1, prec) if prec == 3 else (prec, prec + 1)
+
+    def wrap(text_prec, ctx):
+        text, p = text_prec
+        return f"({text})" if p is not None and p < ctx else text
+
+    return f"{wrap(lhs, ctx_l)} {REF_SYM[type(t)]} {wrap(rhs, ctx_r)}", prec
+
+
+def ref_formula_vars(f):
+    if isinstance(f, tm.Atom):
+        return ref_term_vars(f.lhs) | ref_term_vars(f.rhs)
+    if isinstance(f, tm.Not):
+        return ref_formula_vars(f.sub)
+    return ref_formula_vars(f.lhs) | ref_formula_vars(f.rhs)
+
+
+def ref_pretty_formula(f):
+    if isinstance(f, tm.Atom):
+        return f"{ref_pretty(f.lhs)[0]} {f.rel} {ref_pretty(f.rhs)[0]}"
+    if isinstance(f, tm.Not):
+        return f"!({ref_pretty_formula(f.sub)})"
+    sym = "&" if isinstance(f, tm.And) else "|"
+    return f"({ref_pretty_formula(f.lhs)}) {sym} ({ref_pretty_formula(f.rhs)})"
+
+
+def ref_tau(t):
+    if isinstance(t, tm.Const):
+        return circ.from_integer(t.value) if t.value else circ.zero_circuit()
+    if isinstance(t, tm.Var):
+        return circ.var_circuit(t.name)
+    return tl._apply(t, ref_tau(t.lhs), ref_tau(t.rhs))
+
+
+def ref_eq(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tm.Const):
+        return a.value == b.value
+    if isinstance(a, tm.Var):
+        return a.name == b.name
+    if isinstance(a, tm.Not):
+        return ref_eq(a.sub, b.sub)
+    return (getattr(a, "rel", None) == getattr(b, "rel", None)
+            and ref_eq(a.lhs, b.lhs) and ref_eq(a.rhs, b.rhs))
+
+
+def test_folds_match_the_recursive_definitions():
+    rng = random.Random(43)
+    for _ in range(300):
+        # shared subterms exercise the DAG: one value handed to every parent
+        t = rand_shared_term(rng, rng.randrange(6), ["x", "y"], [])
+        assert tm.term_size(t) == ref_term_size(t)
+        assert tm.term_vars(t) == ref_term_vars(t)
+        for name in ("x", "y", "z"):
+            assert tm.count_var(t, name) == ref_count(
+                t, lambda u: isinstance(u, tm.Var) and u.name == name)
+        for value in (0, 1, 2, -3):
+            assert tm.count_const(t, value) == ref_count(
+                t, lambda u: isinstance(u, tm.Const) and u.value == value)
+        assert tm.pretty(t) == ref_pretty(t)[0]
+        s = rand_shift_term(rng, rng.randrange(6), ["x", "y"])
+        assert circ.to_json_dict(tl.tau(s)) == circ.to_json_dict(ref_tau(s))
+        f = rand_formula(rng, rng.randrange(5), ["x", "y", "z"])
+        assert tm.formula_vars(f) == ref_formula_vars(f)
+        assert tm.pretty_formula(f) == ref_pretty_formula(f)
+
+
+def copy_node(u):
+    """An equal term or formula made of fresh objects."""
+    return type(u)(*(copy_node(v) if isinstance(v, (tm.Term, tm.Formula)) else v
+                     for v in (getattr(u, f.name) for f in dataclasses.fields(u))))
+
+
+def test_structural_equality_and_hash_match_the_recursive_definition():
+    rng = random.Random(47)
+    # small and over few symbols, so that distinct objects are often equal
+    terms = [rand_shift_term(rng, rng.randrange(3), ["x"]) for _ in range(200)]
+    formulas = [rand_formula(rng, rng.randrange(2), []) for _ in range(200)]
+    for pool in (terms, formulas):
+        equal = 0
+        for a in pool:
+            b = rng.choice(pool)
+            for u, v in ((a, b), (b, a), (a, copy_node(a)), (copy_node(b), a)):
+                assert (u == v) is ref_eq(u, v)
+                assert (u != v) is not ref_eq(u, v)
+                if ref_eq(u, v):
+                    equal += 1
+                    assert hash(u) == hash(v) and repr(u) == repr(v)
+        assert equal > len(pool)  # beyond the copies, some distinct draws were equal
+        assert len(set(pool)) == len({repr(u) for u in pool})
+    assert tm.Const(1) != 1 and tm.Const(1).__eq__(1) is NotImplemented
+
+
+def test_dag_kind_errors():
+    x = tm.Var("x")
+    atom = tm.Atom(x, "<", tm.Const(1))
+    cases = [
+        (atom, tm.Term, "not a term: Atom(lhs=Var(name='x'), rel='<', rhs=Const(value=1))"),
+        (tm.Add(x, atom), tm.Term, "not a term: Atom(lhs=Var(name='x'), rel='<', rhs=Const(value=1))"),
+        (x, tm.Formula, "not a formula: Var(name='x')"),
+        (tm.And(atom, tm.Not(x)), tm.Formula, "not a formula: Var(name='x')"),
+        (tm.Add(x, 5), None, "not a term or formula: 5"),
+    ]
+    for root, kind, message in cases:
+        with pytest.raises(TypeError) as ei:
+            tm.dag(root, kind)
+        assert str(ei.value) == message
+    with pytest.raises(TypeError, match="not a term: "):
+        tl.realize(atom)
+    with pytest.raises(TypeError, match="not a formula: "):
+        tl.eval_formula(x)
 
 
 def test_realize_mark_bound():
