@@ -11,6 +11,7 @@ after "--", or argparse reads it as an option.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -178,7 +179,10 @@ def _add_common(p):
                    help="print integers only up to this many bits")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    as it was, and building it takes over ten times as long as a parse."""
     parser = argparse.ArgumentParser(
         prog="pcirc",
         description="compressed integer arithmetic on power circuits")

@@ -88,10 +88,20 @@ Normalization stacks three passes on a reduced circuit: give every vertex a
 doubling partner, rewrite every exponent sum and the mark sum into compact
 form, and trim.  Normal circuits are canonical: equal value implies equal
 shape.
+
+A Pool is the certificate kept for many values at once, as the source paper
+runs every operation on the markings of one circuit: it starts from the
+zero alone and only grows, every vertex's digit sum is compact, and a value
+is a compact marking over its vertices.  Sums merge two markings and carry;
+a carry that finds no doubling partner adds one.  A new vertex costs one
+`locate` and one `insert`, and the index finds every value already there.
+Nothing is rewired, so no pool vertex ever changes its value; `keep` only
+drops the vertices that no value still held reaches.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from . import arithmetic
@@ -105,7 +115,13 @@ from .circuit import (
     PowerCircuit,
     VariableCircuitError,
 )
-from .signed_binary import KeyDomain, SignedSum, compare_counted, make_compact
+from .signed_binary import (
+    KeyDomain,
+    SignedSum,
+    compact_of_integer,
+    compare_counted,
+    make_compact,
+)
 
 _VALUE_IS_ZERO = object()
 
@@ -419,6 +435,181 @@ class _State(KeyDomain):
         """Drop mark-unreachable vertices; the survivors' certificate."""
         circ.trim_inplace(self.c)
         return _restrict(self.order, self.doubles, self.c._succ)
+
+
+class Pool(_State):
+    """One certified circuit that only grows, holding many values at once.
+
+    Values are compact markings: tuples of (vertex, +-1) in descending
+    rank, with no two keys within a factor of two.  Every certified vertex
+    other than the zero has a compact digit sum, so its digits are the one
+    compact form of its exponent: equal values have equal digit tuples, and
+    `vertex_of` finds every value the pool holds.  A lookup miss is a new
+    value, placed with one `locate` and one `insert`.  Nothing is ever
+    rewired or merged, so a marking stays valid until `keep` is called
+    without it, and an operation pays only for the vertices it adds.
+    """
+
+    def __init__(self):
+        c = PowerCircuit()
+        super().__init__(c, (c.add_vertex(),), ())
+        self.powers = {}  # integer e -> the vertex worth 2^e
+        self.exps = []  # the keys of powers, ascending
+
+    def vertex(self, ds: tuple, slot=None):
+        """The vertex whose digits are the compact tuple ds, added if new,
+        at the (rank, doubling bits) slot if the caller knows it."""
+        v = self.vertex_of.get(ds)
+        if v is not None:
+            return v
+        c = self.c
+        v = c.add_vertex()
+        for t, s in ds:
+            c.add_edge(v, t, s)
+        if not ds:
+            c.add_edge(v, self.zero, 1)
+        sv = SignedSum(ds)
+        pos, bits = self.locate(sv) if slot is None else slot
+        if bits is None:
+            raise CircuitInvariantError("a compact digit tuple missed its twin's index entry")
+        self.insert(v, sv, pos, *bits)
+        return v
+
+    def successor(self, v):
+        """The vertex worth 2 * value(v), added if missing, so carries never
+        run out of keys."""
+        p = self.partner(v)
+        if p is None:
+            p = self.vertex(self.add(self.sums[v].digits, ((self.vertex(()), 1),)))
+        return p
+
+    def power(self, e: int):
+        """The vertex worth 2^e for an integer e >= 0.
+
+        When the memoized powers just below and just above e are neighbours
+        in the order, a new 2^e goes between them without a search, and its
+        doubling bits say whether their exponents are e - 1 and e + 1.
+        """
+        v = self.powers.get(e)
+        if v is None:
+            ds = self.integer(e)
+            exps, rank = self.exps, self.rank
+            i = bisect.bisect(exps, e)
+            pos = rank[self.powers[exps[i - 1]]] + 1 if i else 1
+            above = rank[self.powers[exps[i]]] if i < len(exps) else len(self.order)
+            slot = None
+            if pos == above:
+                slot = pos, (i > 0 and exps[i - 1] == e - 1, i < len(exps) and exps[i] == e + 1)
+            v = self.powers[e] = self.vertex(ds, slot)
+            exps.insert(i, e)
+        return v
+
+    def integer(self, n: int) -> tuple:
+        """The compact marking of the integer n."""
+        sign = 1 if n > 0 else -1
+        return tuple((self.power(e), sign * s) for e, s in compact_of_integer(abs(n)))
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        """The compact marking of value(a) + value(b).
+
+        Equal keys carry upward first, lowest first, as reduce_sum does with
+        integer keys: a carry out of key k lands on successor(k), which is
+        never above the next key still to be swept, since values are
+        distinct powers of two.  make_compact then sees distinct keys only.
+        """
+        counts = dict(a)
+        for k, s in b:
+            counts[k] = counts.get(k, 0) + s
+        stack = sorted(counts, key=self.rank.__getitem__, reverse=True)
+        digits = []
+        while stack:
+            k = stack.pop()
+            t = counts.pop(k)
+            r = t % 2
+            if r and t < 0:
+                r = -1
+            if r:
+                digits.append((k, r))
+            carry = (t - r) // 2
+            if carry:
+                up = self.successor(k)
+                if up in counts:
+                    counts[up] += carry
+                else:
+                    counts[up] = carry
+                    stack.append(up)
+        digits.reverse()
+        return make_compact(SignedSum(digits), self).digits
+
+    def shift(self, a: tuple, e: tuple):
+        """The compact marking of value(a) * 2^value(e), or None when a
+        summand's exponent turns negative.
+
+        Adding one exponent to every summand keeps their order and their
+        doubling relations, so the result is compact as it stands.
+        """
+        out = []
+        for u, s in a:
+            ds = self.add(self.sums[u].digits, e)
+            if ds and ds[0][1] < 0:
+                return None
+            out.append((self.vertex(ds), s))
+        return tuple(out)
+
+    def circuit(self, marking: tuple) -> PowerCircuit:
+        """A reduced circuit for marking: the subgraph it reaches, with the
+        pool's ids and the restriction of the pool's certificate."""
+        if not marking:
+            return circ.zero_circuit()
+        succ, pred = self.c._succ, self.c._pred
+        reach = self.reach([marking])
+        w = PowerCircuit()
+        w._marks = dict(marking)
+        w._succ = {v: dict(succ[v]) for v in reach}
+        w._pred = {v: pred[v] & reach for v in reach}
+        w._next_id = self.c._next_id
+        return w.freeze(CircuitKind.REDUCED, _restrict(self.order, self.doubles, reach))
+
+    def reach(self, markings) -> set:
+        """The vertices that the markings reach, their own included."""
+        succ = self.c._succ
+        seen = {v for m in markings for v, _ in m}
+        stack = list(seen)
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    def keep(self, markings):
+        """Drop every vertex, the zero aside, that none of the markings
+        reach.  What stays keeps its digits, so the certificate restricted
+        to it still holds, and every marking given stays valid."""
+        alive = self.reach(markings) | {self.zero}
+        for v in [v for v in self.order if v not in alive]:
+            self.c.remove_vertex(v)
+            del self.vertex_of[self.sums.pop(v).digits]
+        cert = _restrict(self.order, self.doubles, alive)
+        self.order, self.doubles = list(cert.order), list(cert.doubles)
+        self.rank = cert.rank_map()
+        self.powers = {e: v for e, v in self.powers.items() if v in alive}
+        self.exps = [e for e in self.exps if e in self.powers]
+
+    def take(self, c: PowerCircuit) -> tuple:
+        """The marking of normal circuit c, its vertices added to the pool
+        in certificate order, so every digit's key is already in."""
+        order = c.certificate.order
+        if len(order) == 1:
+            return ()
+        rank = c.certificate.rank_map()
+        m = {}
+        for v in order[1:]:
+            ds = sorted((d for d in c._succ[v].items() if d[0] != order[0]),
+                        key=lambda d: rank[d[0]], reverse=True)
+            m[v] = self.vertex(tuple((m[t], s) for t, s in ds))
+        marks = sorted(c._marks.items(), key=lambda d: rank[d[0]], reverse=True)
+        return tuple((m[v], s) for v, s in marks)
 
 
 def _restrict(order, doubles, alive) -> Certificate:

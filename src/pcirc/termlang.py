@@ -12,18 +12,23 @@ hash-consed by `terms.dag`, the one traversal of the term structure, into
 a DAG of its distinct subterms and subformulas, so a subterm that occurs
 twice, like tower(x) in tower(x)+1 - tower(x) or in two atoms of one
 formula, is evaluated once; its value is held only until its last parent
-has taken it.  One post-order walk then maps the DAG bottom-up to power
-circuits, reducing after every operation, so definedness of each quotient
-is decided structurally; each reduction starts from the certificate of the
-larger reduced operand and sweeps only the rest.  An atom is the sign of
-its reduced difference circuit, and a connective decided by its first
-operand never realizes its second, which is why this walk is its own and
-not a `terms.fold`.  The structural embedding `tau` is a fold.  The parser
-and the walks keep explicit stacks, so nesting depth costs time and memory
-but no interpreter recursion.  Division making a value leave the integers
-yields Undefined carrying the path to the offending subterm, and a
-vertex-count ceiling turns runaway products into CircuitBudgetError
-instead of an out-of-memory kill.
+has taken it.  One post-order walk then maps the DAG bottom-up into one
+certified circuit, a `reduction.Pool`, that only grows until it passes the
+vertex ceiling: every term's value is a compact marking of its vertices.  A sum or difference merges
+two markings and carries, a shift adds each summand's exponent to the
+shift's and looks the new vertex up or places it with one binary search,
+and an atom is the sign of the leading digit of its difference, so no
+operand is ever copied or swept again.  Products and quotients are built
+as circuits from the pool's subgraphs, reduced, which decides whether a
+quotient is defined, and taken back in normal form.  A connective decided
+by its first operand never evaluates its second, which is why this walk is
+its own and not a `terms.fold`.  The structural embedding `tau` is a fold.
+The parser and the walks keep explicit stacks, so nesting depth costs time
+and memory but no interpreter recursion.  Division making a value leave
+the integers yields Undefined carrying the path to the offending subterm,
+and a vertex-count ceiling on each value's part of the pool and on each
+product's and quotient's circuits turns runaway growth into
+CircuitBudgetError instead of an out-of-memory kill.
 """
 
 from __future__ import annotations
@@ -254,15 +259,13 @@ def parse(src: str, macro_env: dict | None = None):
 # -- operations --------------------------------------------------------------
 
 # names, not functions: looked up on the module at call time, so a wrapper
-# installed on `arithmetic` sees every call; an atom is decided by the sign
-# of the difference of its sides
+# installed on `arithmetic` sees every call
 _OPERATION = {
     Add: "add",
     Sub: "subtract",
     Mul: "multiply",
     MulPow2: "mul_pow2",
     DivPow2: "div_pow2_raw",
-    Atom: "subtract",
 }
 
 
@@ -305,18 +308,31 @@ def _decides(u, v) -> bool:
     return isinstance(v, Undefined)
 
 
-def _value(u, args: list, env: dict, max_vertices: int):
+def _negate(m: tuple) -> tuple:
+    return tuple((v, -s) for v, s in m)
+
+
+def _check_size(n: int, max_vertices: int):
+    if n > max_vertices:
+        raise CircuitBudgetError(f"{n} vertices exceed the ceiling")
+
+
+def _value(u, args: list, env: dict, pool: reduction.Pool, max_vertices: int):
     """The value of node u from its operands' values, finished left to
-    right until one decided it.  An Undefined names its witness path from
-    u, so the witness of a shared subterm is right wherever it occurs."""
+    right until one decided it: a compact marking in pool for a term, a
+    bool for a formula, or Undefined.  An Undefined names its witness path
+    from u, so the witness of a shared subterm is right wherever it occurs."""
     if isinstance(u, Const):
-        return circ.from_integer(u.value)
+        return pool.integer(u.value)
     if isinstance(u, Var):
         try:
             r = env[u.name]
         except KeyError:
             raise VariableCircuitError(f"no binding for variable {u.name!r}") from None
-        return r if isinstance(r, PowerCircuit) else circ.from_integer(r)
+        if not isinstance(r, PowerCircuit):
+            return pool.integer(r)
+        r = reduction.normalize(r)
+        return Undefined() if r is IMPROPER else pool.take(r)
     if isinstance(u, (And, Or)) and _decides(u, args[-1]):
         return args[-1]
     for j, a in enumerate(args):
@@ -326,30 +342,43 @@ def _value(u, args: list, env: dict, max_vertices: int):
         return not args[0]
     if isinstance(u, (And, Or)):
         return args[-1]
-    raw = _apply(u, *args)
-    if raw.n_vertices() > max_vertices:
-        raise CircuitBudgetError(f"{raw.n_vertices()} vertices exceed the ceiling")
+    a, b = args
+    if isinstance(u, Add):
+        return pool.add(a, b)
+    if isinstance(u, Sub):
+        return pool.add(a, _negate(b))
+    if isinstance(u, Atom):
+        d = pool.add(a, _negate(b))
+        s = d[0][1] if d else 0
+        return {"<=": s <= 0, "=": s == 0, "<": s < 0}[u.rel]
+    if isinstance(u, MulPow2):
+        r = pool.shift(a, b)
+        return Undefined() if r is None else r
+    # a product, and the quotient whose definedness reduce decides, are
+    # built as circuits and taken back into the pool in normal form
+    raw = _apply(u, pool.circuit(a), pool.circuit(b))
+    _check_size(raw.n_vertices(), max_vertices)
     r = reduction.reduce(raw)
     if r is IMPROPER:
         return Undefined()
-    if r.n_vertices() > max_vertices:
-        raise CircuitBudgetError(f"{r.n_vertices()} vertices exceed the ceiling")
-    if isinstance(u, Atom):
-        s = reduction.sign(r)
-        return {"<=": s <= 0, "=": s == 0, "<": s < 0}[u.rel]
-    return r
+    _check_size(r.n_vertices(), max_vertices)
+    return pool.take(reduction.normalize(r))
 
 
-def _evaluate(root, kind, env: dict, max_vertices: int):
-    """A reduced circuit for a term, a bool for a formula, or Undefined.
+def _evaluate(root, kind, env: dict, pool: reduction.Pool, max_vertices: int):
+    """A marking in pool for a term, a bool for a formula, or Undefined.
 
     One post-order walk over `terms.dag`, with an explicit stack.
     Each distinct node is evaluated once, however often it occurs: a value
     with more than one parent waits in the memo until its last parent has
     taken it, and one with a single parent is dropped once that parent is
-    done, so a tower's inner levels are not held in memory.  Operands are
-    finished left to right and a node stops at the first one that decides
-    it, so an atom a connective skips is never realized.
+    done.  Operands are finished left to right and a node stops at the
+    first one that decides it, so an atom a connective skips is never
+    realized.  Once the pool outgrows the vertex ceiling, every operation
+    drops the vertices that no held value reaches and checks the ceiling
+    against the part of the pool its own value reaches, so the ceiling
+    bounds each result, as it bounds each product's circuits, and not all
+    that was built; a constant or a binding is not checked on its own.
     """
     nodes, parents = dag(root, kind)
     memo = {}  # id -> [value, parents still to take it]
@@ -368,8 +397,12 @@ def _evaluate(root, kind, env: dict, max_vertices: int):
         if k < len(kids) and not (k and _decides(u, done[-1])):
             stack += [(i, k + 1), (kids[k], 0)]
             continue
-        v = _value(u, done[len(done) - k:], env, max_vertices)
+        v = _value(u, done[len(done) - k:], env, pool, max_vertices)
         del done[len(done) - k:]
+        if pool.c.n_vertices() > max_vertices and kids and isinstance(v, tuple):
+            _check_size(len(pool.reach([v])), max_vertices)
+            pool.keep([w for w in done + [m[0] for m in memo.values()] + [v]
+                       if isinstance(w, tuple)])
         if parents[i] > 1:
             memo[i] = [v, parents[i] - 1]
         done.append(v)
@@ -379,13 +412,20 @@ def _evaluate(root, kind, env: dict, max_vertices: int):
 def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
     """Normal-form circuit for the term under an assignment, or Undefined.
 
-    Bindings may be integers or circuits.  Every operation is reduced as
-    soon as it is built, which is what decides quotient definedness and
-    keeps sizes polynomial for product-free terms.  Each distinct subterm
-    is realized once, however often it occurs.
+    Bindings may be integers or circuits; a circuit binding is normalized
+    first, so an improper one is Undefined at the variable.  The term is
+    evaluated inside one certified circuit, its pool: every subterm's value
+    is a compact marking there, so a sum merges two markings and carries,
+    a shift adds one vertex per summand, and each new value is placed with
+    one binary search.  Products and quotients are reduced as circuits and
+    taken back in normal form; that reduction decides quotient
+    definedness.  Each distinct subterm is evaluated once, however often it
+    occurs.  The vertex ceiling caps each value's part of the pool and
+    each product's and quotient's raw and reduced circuits.
     """
-    r = _evaluate(t, Term, env or {}, max_vertices)
-    return r if isinstance(r, Undefined) else reduction.normalize(r)
+    pool = reduction.Pool()
+    r = _evaluate(t, Term, env or {}, pool, max_vertices)
+    return r if isinstance(r, Undefined) else reduction.normalize(pool.circuit(r))
 
 
 def eval_formula(f: Formula, env: dict | None = None, max_vertices: int = 10**6):
@@ -393,8 +433,8 @@ def eval_formula(f: Formula, env: dict | None = None, max_vertices: int = 10**6)
 
     An atom with an Undefined side is Undefined; "and"/"or" are decided by
     a dominating defined operand (False and anything is False, True or
-    anything is True); "not" preserves Undefined.  Each distinct subterm
-    is realized once across all atoms, and an atom is the sign of its
-    reduced difference circuit.
+    anything is True); "not" preserves Undefined.  All atoms share one
+    pool, so each distinct subterm is evaluated once across them, and an
+    atom is the sign of the leading digit of its difference's marking.
     """
-    return _evaluate(f, Formula, env or {}, max_vertices)
+    return _evaluate(f, Formula, env or {}, reduction.Pool(), max_vertices)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from pcirc import circuit as circ
+from pcirc import cli
 from pcirc.cli import main
 
 
@@ -43,6 +44,21 @@ def test_eval_huge_term_prints_sizes(capsys):
 def test_eval_let_binding(capsys):
     code, out, _ = run(capsys, "eval", "x + y", "--let", "x=40", "--let", "y=2")
     assert (code, out.strip()) == (0, "42")
+
+
+def test_parser_built_once_keeps_calls_apart(capsys):
+    # one parser serves every call in a process; no option, binding or
+    # subcommand of one call leaks into the next
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "eval", "x + y", "--let", "x=40", "--let", "y=2",
+                       "--max-vertices", "3")
+    assert (code, out.strip()) == (3, "")
+    code, out, _ = run(capsys, "cmp", "x", "7", "--let", "x=5")
+    assert (code, out.strip()) == (0, "<")
+    code, out, _ = run(capsys, "eval", "x + y", "--let", "x=1", "--let", "y=2")
+    assert (code, out.strip()) == (0, "3")
+    code, out, _ = run(capsys, "eval", "y", "--let", "x=1")
+    assert code == 2
 
 
 def test_eval_parse_error(capsys):

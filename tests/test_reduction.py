@@ -732,3 +732,74 @@ def test_bulk_append_matches_a_checked_copy(monkeypatch):
                 m.setattr(ar, "_append", reference_append)
                 want = tables(op(a, b))
             assert got == want
+
+
+def test_pool_successor_builds_a_missing_doubling_vertex():
+    pool = reduction.Pool()
+    v = pool.power(5)
+    assert pool.partner(v) is None
+    s = pool.successor(v)
+    assert pool.partner(v) == s
+    assert pool.successor(v) == s
+    assert eval_bignum(pool.circuit(((s, 1),))) == 64
+    # 2^(2^5 + 1) is a new value two levels up, carried into being the same way
+    top = pool.vertex(((v, 1),))
+    assert eval_bignum(pool.circuit(((pool.successor(top), 1),))) == 2 ** 33
+
+
+def test_pool_sums_carry_into_compact_markings():
+    pool = reduction.Pool()
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = (rng.randrange(-(1 << 40), 1 << 40) for _ in range(2))
+        m = pool.add(pool.integer(a), pool.integer(b))
+        assert m == pool.integer(a + b)
+        assert m == pool.add(pool.integer(b), pool.integer(a))
+    for m in (pool.integer(3), pool.integer(-12345)):
+        c = pool.circuit(m)
+        verify_certificate(c, require_normal=True)
+    verify_pool(pool)
+
+
+def verify_pool(pool):
+    """The pool's order and doubling bits certify all of it, its index
+    holds every vertex, and every digit sum is compact."""
+    c = pool.c.copy()
+    for v in pool.order[1:]:
+        c.set_mark(v, 1)
+    verify_certificate(c.freeze(CircuitKind.REDUCED,
+                                Certificate(tuple(pool.order), tuple(pool.doubles))))
+    assert sorted(pool.vertex_of.values()) == sorted(pool.order[1:])
+    for v in pool.order[1:]:
+        ds = pool.sums[v].digits
+        assert not any(pool.is_double(a, b) for (a, _), (b, _) in zip(ds, ds[1:]))
+
+
+def test_pool_keep_drops_only_what_no_held_marking_reaches():
+    pool = reduction.Pool()
+    rng = random.Random(7)
+    values = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(40)]
+    held = [pool.integer(n) for n in values[::3]]
+    for n in values:
+        pool.integer(n)
+    before = pool.c.n_vertices()
+    pool.keep(held)
+    assert pool.c.n_vertices() == len(pool.reach(held) | {pool.zero}) < before
+    verify_pool(pool)
+    for n, m in zip(values[::3], held):
+        assert pool.integer(n) == m
+        assert eval_bignum(pool.circuit(m)) == n
+    # what was dropped comes back as new vertices, and the pool still holds
+    for n in values:
+        assert eval_bignum(pool.circuit(pool.add(pool.integer(n), pool.integer(1)))) == n + 1
+    verify_pool(pool)
+
+
+def test_pool_refuses_a_second_vertex_for_one_value():
+    # 2^3 is already there with the compact exponent 4 - 1; the same value
+    # under the exponent 2 + 1 misses the index and the search finds the twin
+    pool = reduction.Pool()
+    pool.power(3)
+    two, one = pool.power(1), pool.power(0)
+    with pytest.raises(circ.CircuitInvariantError):
+        pool.vertex(((two, 1), (one, 1)))

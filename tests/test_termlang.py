@@ -339,6 +339,43 @@ def test_realize_budget():
     assert tl.realize(tl.parse("tower(8)"), max_vertices=64).n_vertices() <= 20
 
 
+def test_ceiling_counts_each_value_and_not_all_that_was_built():
+    # the terms build over a hundred pool vertices, but no value reaches
+    # more than a dozen of them, so a ceiling of 50 holds
+    ks = random.Random(41).sample(range(1 << 10, 1 << 11), 100)
+    t = tl.parse(" + ".join(f"(2^({k}) - 2^({k}))" for k in ks))
+    r = tl.realize(t, max_vertices=50)
+    assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.zero_circuit())
+    f = tl.parse(" & ".join(f"2^({k}) + 1 = 1 + 2^({k})" for k in ks))
+    assert tl.eval_formula(f, max_vertices=50) is True
+    # one value over the ceiling still raises, however little is held
+    with pytest.raises(tl.CircuitBudgetError):
+        tl.realize(tl.parse(" + ".join(f"2^({k})" for k in ks)), max_vertices=50)
+
+
+def test_improper_circuit_binding_is_undefined_at_the_variable():
+    # 2^(2^0 - 2^1) = 2^-1 is not an integer
+    c = circ.PowerCircuit()
+    z, one, two, v = (c.add_vertex() for _ in range(4))
+    c.add_edge(one, z, 1)
+    c.add_edge(two, one, 1)
+    c.add_edge(v, one, 1)
+    c.add_edge(v, two, -1)
+    c.set_mark(v, 1)
+    assert tl.realize(tl.parse("x + 1"), {"x": c}) == tl.Undefined((0,))
+    assert tl.realize(tl.parse("x"), {"x": c}) == tl.Undefined(())
+    assert tl.eval_formula(tl.parse("1 < 2 & x = x"), {"x": c}) == tl.Undefined((1, 0))
+    # the binding is Undefined even where its product would be an integer
+    assert tl.realize(tl.parse("x <<^ 5"), {"x": tl.tau(tl.parse("8 >>^ 5"))}) == tl.Undefined((0,))
+
+
+def test_circuit_binding_is_read_by_its_value():
+    # tau(1 + 1) marks 2^0 twice; halving it is defined as for the integer 2
+    x = tl.tau(tl.parse("1 + 1"))
+    r = tl.realize(tl.parse("x <<^ (0-1)"), {"x": x})
+    assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
+
+
 def assert_matches_strict_oracle(rng, make, tries=400) -> int:
     """Realize tries random terms from make(rng); each must give the normal
     form of its strict value, or Undefined.  Returns how many were checked."""
@@ -356,6 +393,7 @@ def assert_matches_strict_oracle(rng, make, tries=400) -> int:
         else:
             assert not isinstance(r, tl.Undefined), (t, env, expect)
             assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(expect))
+            tl.reduction.verify_certificate(r, require_normal=True)
         checked += 1
     return checked
 
@@ -401,26 +439,60 @@ def test_realize_with_shared_subterms_matches_strict_oracle():
     assert sum(shared) > 100
 
 
+def record_pools(monkeypatch) -> list:
+    """The pools that realize and eval_formula make, filled as they run."""
+    pools = []
+
+    class Recorded(tl.reduction.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(tl.reduction, "Pool", Recorded)
+    return pools
+
+
 def test_shared_subterm_is_realized_once(monkeypatch):
-    calls = []
-    real_reduce = tl.reduction.reduce
-
-    def reduce(c, stats=None):
-        calls.append(c)
-        return real_reduce(c, stats)
-
-    monkeypatch.setattr(tl.reduction, "reduce", reduce)
+    # the tower's x + 1 levels and the zero, plus what the sums add; a
+    # tower built twice would leave about 2x vertices
+    pools = record_pools(monkeypatch)
     for x in (5, 40, 120):
-        calls.clear()
+        pools.clear()
         r = tl.realize(tl.parse("tower(x)+1 - tower(x)", {"x": x}))
         assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
-        # x levels, the sum, the difference and normalize's own reduce
-        assert x <= len(calls) <= x + 4
-        # four uses, two of them by one node; one more reduce per operation
-        calls.clear()
+        assert pools[0].c.n_vertices() <= x + 4
+        # four uses, two of them by one node
+        pools.clear()
         r = tl.realize(tl.parse("tower(x)+tower(x)+1 - tower(x) - tower(x)", {"x": x}))
         assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
-        assert x <= len(calls) <= x + 6
+        assert pools[0].c.n_vertices() <= x + 6
+
+
+def test_deep_tower_difference_stays_in_a_linear_pool(monkeypatch):
+    pools = record_pools(monkeypatch)
+    x = 2000
+    r = tl.realize(tl.parse("tower(x)+1 - tower(x)", {"x": x}))
+    assert circ.canonical_bytes(r) == circ.canonical_bytes(circ.from_integer(1))
+    assert pools[0].c.n_vertices() <= x + 4
+
+
+def test_adding_zero_or_one_and_back_leaves_the_marking_as_it_was():
+    # equal values have one compact marking in a pool, however they arose
+    rng = random.Random(23)
+    defined = 0
+    for _ in range(300):
+        t = rand_term(rng, rng.randrange(1, 5), ["x", "y"])
+        env = {"x": rng.randrange(-9, 10), "y": rng.randrange(-9, 10)}
+        pool = tl.reduction.Pool()
+        values = [tl._evaluate(u, tm.Term, env, pool, 10**6)
+                  for u in (t, tm.Add(t, tm.Const(0)), tm.Sub(tm.Add(t, tm.Const(1)), tm.Const(1)))]
+        if isinstance(values[0], tl.Undefined):
+            assert all(isinstance(v, tl.Undefined) for v in values)
+            continue
+        assert values[1] == values[0] and values[2] == values[0]
+        tl.reduction.verify_certificate(pool.circuit(values[0]), require_normal=True)
+        defined += 1
+    assert defined > 150
 
 
 def test_shared_undefined_subterm_keeps_its_first_witness():
