@@ -71,23 +71,14 @@ has already built: the one a vertex placed without a separation was
 searched with, or the one insert_above built for its right-bit compare.  A
 doubling changes only the lowest digits, so it updates the processed
 vertex's digit list in place rather than sorting it afresh.  A state made
-from a certificate, in normalize and verify_certificate, builds each sum on
-its first use.  Normalize's compact rewrite, the one pass that changes a
-certified vertex's out-edges, drops that vertex's entry.
+from a certificate, in verify_certificate, builds each sum on its first use.
 
 insert also indexes each certified vertex by its digit tuple, and locate
 looks a vertex's digits up there before its binary search.  The index
 cannot go stale for the same reasons as the memo: over certified keys,
 equal digit tuples mean equal values, and certified values are distinct, so
-a hit names the very twin the search would find, without a compare.  Only
-the sweep consults the index; the compact rewrite still drops a rewritten
-vertex's entry with its memo entry, so every entry always names a vertex
-whose memoized sum has exactly those digits.
-
-Normalization stacks three passes on a reduced circuit: give every vertex a
-doubling partner, rewrite every exponent sum and the mark sum into compact
-form, and trim.  Normal circuits are canonical: equal value implies equal
-shape.
+a hit names the very twin the search would find, without a compare.  Every
+entry names a vertex whose memoized sum has exactly those digits.
 
 A Pool is the certificate kept for many values at once, as the source paper
 runs every operation on the markings of one circuit: it starts from the
@@ -97,6 +88,15 @@ a carry that finds no doubling partner adds one.  A new vertex costs one
 `locate` and one `insert`, and the index finds every value already there.
 Nothing is rewired, so no pool vertex ever changes its value; `keep` only
 drops the vertices that no value still held reaches.
+
+The pool is the one place a normal form is built.  `take` brings in any
+reduced circuit in certificate order, making each vertex's digits and then
+the marks compact over the pool's order, and `circuit` hands a marking out:
+the subgraph it reaches is compact and trimmed, so it is the normal form.
+normalize is reduce, then take into a fresh pool and read back out; a
+normal input comes back as it is.  Normal circuits are canonical: equal
+value implies equal shape, so canonical_bytes compares them whatever their
+vertex ids.
 """
 
 from __future__ import annotations
@@ -171,12 +171,6 @@ class _State(KeyDomain):
         out = self.c._succ[v]
         return len(out) == 1 and self.zero in out
 
-    def successor(self, v):
-        p = self.partner(v)
-        if p is None:
-            raise CertificateError("no doubling partner available for carry")
-        return p
-
     def partner(self, v):
         """The vertex worth 2 * value(v), or None."""
         r = self.rank[v] + 1
@@ -235,13 +229,16 @@ class _State(KeyDomain):
         self.stats.ops += it
         return r
 
-    def locate(self, sv: SignedSum):
+    def locate(self, sv: SignedSum, lo: int = 1):
         """(rank, None) when order[rank] has sv's value, else (insertion
-        rank, (bit_left, bit_right)).
+        rank, (bit_left, bit_right)).  A caller that knows sv's value lies
+        above order[lo - 1]'s starts the search at lo.
 
         The search compared sv with both new neighbours last, so those
-        compares already say whether each is an exact half or double.  A
-        certified vertex with exactly sv's digits is found without a compare.
+        compares already say whether each is an exact half or double; only
+        a slot at the bottom of a search started above rank 1 needs one
+        more compare, with order[lo - 1], for its left bit.  A certified
+        vertex with exactly sv's digits is found without a compare.
         A probe whose leading key is neither sv's own, its half nor its
         double is settled as +-2 from the two ranks; it counts one op, as
         the one iteration compare_counted would take on it.  The other
@@ -253,7 +250,7 @@ class _State(KeyDomain):
             return self.rank[u], None
         order, rank, doubles, sums, stats = self.order, self.rank, self.doubles, self.sums, self.stats
         ra = rank[sv.digits[0][0]] if sv.digits else None
-        lo, hi = 1, len(order)
+        start, hi = lo, len(order)
         left = right = False
         while lo < hi:
             mid = (lo + hi) // 2
@@ -272,6 +269,8 @@ class _State(KeyDomain):
                 hi, right = mid, r == -1
             else:
                 lo, left = mid + 1, r == 1
+        if lo == start > 1:
+            left = self._cmp(sv, order[lo - 1]) == 1
         return lo, (left, right)
 
     # local rewriting
@@ -308,7 +307,7 @@ class _State(KeyDomain):
         2^0 + ... + 2^(N-1) into a single +2^N digit, which a -2^(N+1) digit
         just above it absorbs into -2^N.  When no vertex of value 2^N exists
         one helper vertex is created, wired to denote 2^N, and inserted into
-        the certificate.  Returns the helper or None.
+        the certificate.
         """
         c = self.c
         out = c._succ[v]
@@ -323,7 +322,7 @@ class _State(KeyDomain):
             ds.pop()
             if not out:
                 c.add_edge(v, self.zero, 1)
-            return None
+            return
         chain = []
         t = unit
         while t is not None and out.get(t) == 1:
@@ -334,20 +333,19 @@ class _State(KeyDomain):
             c.remove_edge(v, u)
             self.stats.ops += 1
         del ds[len(ds) - len(chain) :]
-        aux = None
         if t is not None:
             if out.get(t) == -1:
                 raise CircuitInvariantError("superfluous pair fed to doubling")
         else:
-            aux = t = c.add_vertex()
+            t = c.add_vertex()
             k = 0
             m = len(chain)
             while m:
                 if m & 1:
-                    c.add_edge(aux, chain[k], 1)
+                    c.add_edge(t, chain[k], 1)
                 m >>= 1
                 k += 1
-            self.insert_above(aux, chain[-1], self.digits_of(aux))
+            self.insert_above(t, chain[-1], self.digits_of(t))
         # +t and a -2t just above it make one superfluous pair, folded into
         # -t; nothing further up doubles t, so the fold cannot cascade
         if ds and ds[-1][1] == -1 and self.is_double(ds[-1][0], t):
@@ -360,7 +358,6 @@ class _State(KeyDomain):
             ds.append((t, 1))
         if self.zero in out and len(out) > 1:
             c.remove_edge(v, self.zero)
-        return aux
 
     def double_value(self, vi, vj, ds):
         """Double value(vj), folding vj's old parents and marks onto vi; ds,
@@ -448,6 +445,8 @@ class Pool(_State):
     value, placed with one `locate` and one `insert`.  Nothing is ever
     rewired or merged, so a marking stays valid until `keep` is called
     without it, and an operation pays only for the vertices it adds.
+    `take` turns any reduced circuit into a marking and `circuit` turns a
+    marking back into a normal circuit, so normal forms are made here.
     """
 
     def __init__(self):
@@ -456,9 +455,10 @@ class Pool(_State):
         self.powers = {}  # integer e -> the vertex worth 2^e
         self.exps = []  # the keys of powers, ascending
 
-    def vertex(self, ds: tuple, slot=None):
+    def vertex(self, ds: tuple, slot=None, lo: int = 1):
         """The vertex whose digits are the compact tuple ds, added if new,
-        at the (rank, doubling bits) slot if the caller knows it."""
+        at the (rank, doubling bits) slot if the caller knows it, else
+        searched for from rank lo up."""
         v = self.vertex_of.get(ds)
         if v is not None:
             return v
@@ -469,7 +469,7 @@ class Pool(_State):
         if not ds:
             c.add_edge(v, self.zero, 1)
         sv = SignedSum(ds)
-        pos, bits = self.locate(sv) if slot is None else slot
+        pos, bits = self.locate(sv, lo) if slot is None else slot
         if bits is None:
             raise CircuitInvariantError("a compact digit tuple missed its twin's index entry")
         self.insert(v, sv, pos, *bits)
@@ -557,8 +557,10 @@ class Pool(_State):
         return tuple(out)
 
     def circuit(self, marking: tuple) -> PowerCircuit:
-        """A reduced circuit for marking: the subgraph it reaches, with the
-        pool's ids and the restriction of the pool's certificate."""
+        """The normal circuit for marking: the subgraph it reaches, with the
+        pool's ids and the restriction of the pool's certificate.  Its sums
+        and marks are compact and it holds nothing the marking does not
+        reach, so it is already the trimmed normal form."""
         if not marking:
             return circ.zero_circuit()
         succ, pred = self.c._succ, self.c._pred
@@ -568,7 +570,7 @@ class Pool(_State):
         w._succ = {v: dict(succ[v]) for v in reach}
         w._pred = {v: pred[v] & reach for v in reach}
         w._next_id = self.c._next_id
-        return w.freeze(CircuitKind.REDUCED, _restrict(self.order, self.doubles, reach))
+        return w.freeze(CircuitKind.NORMAL, _restrict(self.order, self.doubles, reach))
 
     def reach(self, markings) -> set:
         """The vertices that the markings reach, their own included."""
@@ -597,19 +599,28 @@ class Pool(_State):
         self.exps = [e for e in self.exps if e in self.powers]
 
     def take(self, c: PowerCircuit) -> tuple:
-        """The marking of normal circuit c, its vertices added to the pool
-        in certificate order, so every digit's key is already in."""
+        """The compact marking of reduced circuit c.
+
+        c's vertices come in in certificate order, so every digit's key is
+        already in, and each is worth more than the one before: its search
+        starts just above the previous vertex's image.  Its mapped digits,
+        and then the mapped marks, are made compact over the pool's order,
+        carrying into doubling vertices the pool adds where missing.
+        """
         order = c.certificate.order
         if len(order) == 1:
             return ()
         rank = c.certificate.rank_map()
         m = {}
+        lo = 1
         for v in order[1:]:
             ds = sorted((d for d in c._succ[v].items() if d[0] != order[0]),
                         key=lambda d: rank[d[0]], reverse=True)
-            m[v] = self.vertex(tuple((m[t], s) for t, s in ds))
+            ds = make_compact(SignedSum([(m[t], s) for t, s in ds]), self).digits
+            m[v] = u = self.vertex(ds, lo=lo)
+            lo = self.rank[u] + 1
         marks = sorted(c._marks.items(), key=lambda d: rank[d[0]], reverse=True)
-        return tuple((m[v], s) for v, s in marks)
+        return make_compact(SignedSum([(m[v], s) for v, s in marks]), self).digits
 
 
 def _restrict(order, doubles, alive) -> Certificate:
@@ -626,10 +637,10 @@ def _restrict(order, doubles, alive) -> Certificate:
     )
 
 
-def _trivial_result(w: PowerCircuit, kind: CircuitKind) -> PowerCircuit:
+def _trivial_result(w: PowerCircuit) -> PowerCircuit:
     circ.make_trivial_inplace(w)
     only = next(iter(w.vertices()))
-    return w.freeze(kind, Certificate((only,), ()))
+    return w.freeze(CircuitKind.REDUCED, Certificate((only,), ()))
 
 
 def _sweep(c: PowerCircuit, stats: ReduceStats | None):
@@ -663,7 +674,7 @@ def _sweep(c: PowerCircuit, stats: ReduceStats | None):
         if r is IMPROPER:
             return IMPROPER
         if r is _VALUE_IS_ZERO:
-            return _trivial_result(w, CircuitKind.REDUCED)
+            return _trivial_result(w)
     return st
 
 
@@ -686,55 +697,18 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
 
 
 def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
-    """Reduce, then rewrite into the unique normal form.
+    """The unique normal form: reduce, then take the result into a fresh
+    Pool and read it back out.
 
-    Every vertex gains a doubling partner (so carries always have a target),
-    every exponent sum and the mark sum become compact, and dead vertices
-    are trimmed.  At most twice the reduced size.  Returns IMPROPER for
-    improper circuits.
+    Every exponent sum and the mark sum are compact, and nothing is left
+    that the marks do not reach.  At most twice the reduced size.  Returns
+    IMPROPER for improper circuits; a normal input comes back as it is.
     """
     r = reduce(c, stats)
-    if r is IMPROPER:
-        return IMPROPER
-    if circ.is_trivial(r):
-        return r.copy().freeze(CircuitKind.NORMAL, r.certificate)
-    w = r.copy()
-    st = _State(w, r.certificate.order, r.certificate.doubles)
-    for v in list(st.order[1:]):
-        if st.partner(v) is not None:
-            continue
-        d = w.add_vertex()
-        for t, s in w._succ[v].items():
-            w.add_edge(d, t, s)
-        ds = list(st.sum_of(v).digits)
-        if st.increment_exponent(d, ds) is not None:
-            raise CircuitInvariantError("doubling partner construction recursed")
-        st.insert_above(d, v, ds)
-    for v in list(st.order[1:]):
-        sv = st.sum_of(v)
-        comp = make_compact(sv, st)
-        if comp != sv:
-            del st.sums[v]
-            st.vertex_of.pop(sv.digits, None)
-            for t in [t for t in w._succ[v] if t != st.zero]:
-                w.remove_edge(v, t)
-            for t, s in comp:
-                w.add_edge(v, t, s)
-            if not comp:
-                if st.zero not in w._succ[v]:
-                    w.add_edge(v, st.zero, 1)
-            elif st.zero in w._succ[v]:
-                w.remove_edge(v, st.zero)
-    mds = sorted(w._marks.items(), key=lambda m: st.rank[m[0]], reverse=True)
-    comp = make_compact(SignedSum(mds), st)
-    if list(comp.digits) != mds:
-        for v in list(w._marks):
-            w.unmark(v)
-        for v, s in comp:
-            w.set_mark(v, s)
-    if not w._marks:
-        return _trivial_result(w, CircuitKind.NORMAL)
-    return w.freeze(CircuitKind.NORMAL, st.trim())
+    if r is IMPROPER or r.kind is CircuitKind.NORMAL:
+        return r
+    pool = Pool()
+    return pool.circuit(pool.take(r))
 
 
 # -- queries ----------------------------------------------------------------

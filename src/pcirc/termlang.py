@@ -14,15 +14,17 @@ twice, like tower(x) in tower(x)+1 - tower(x) or in two atoms of one
 formula, is evaluated once; its value is held only until its last parent
 has taken it.  One post-order walk then maps the DAG bottom-up into one
 certified circuit, a `reduction.Pool`, that only grows until it passes the
-vertex ceiling: every term's value is a compact marking of its vertices.  A sum or difference merges
-two markings and carries, a shift adds each summand's exponent to the
-shift's and looks the new vertex up or places it with one binary search,
-and an atom is the sign of the leading digit of its difference, so no
-operand is ever copied or swept again.  Products and quotients are built
-as circuits from the pool's subgraphs, reduced, which decides whether a
-quotient is defined, and taken back in normal form.  A connective decided
-by its first operand never evaluates its second, which is why this walk is
-its own and not a `terms.fold`.  The structural embedding `tau` is a fold.
+vertex ceiling: every term's value is a compact marking of its vertices.
+A sum or difference merges two markings and carries, a shift adds each
+summand's exponent to the shift's and looks the new vertex up or places it
+with one binary search, and an atom is the sign of the leading digit of
+its difference, so no operand is ever copied or swept again.  Products
+and quotients are built as circuits from the pool's subgraphs, reduced,
+which decides whether a quotient is defined, and taken back into the
+pool, which makes them compact.  The pool hands the result out already
+normal, so nothing here calls `normalize`.  A connective decided by its
+first operand never evaluates its second, which is why this walk is its
+own and not a `terms.fold`.  The structural embedding `tau` is a fold.
 The parser and the walks keep explicit stacks, so nesting depth costs time
 and memory but no interpreter recursion.  Division making a value leave
 the integers yields Undefined carrying the path to the offending subterm,
@@ -331,7 +333,7 @@ def _value(u, args: list, env: dict, pool: reduction.Pool, max_vertices: int):
             raise VariableCircuitError(f"no binding for variable {u.name!r}") from None
         if not isinstance(r, PowerCircuit):
             return pool.integer(r)
-        r = reduction.normalize(r)
+        r = reduction.reduce(r)
         return Undefined() if r is IMPROPER else pool.take(r)
     if isinstance(u, (And, Or)) and _decides(u, args[-1]):
         return args[-1]
@@ -355,14 +357,14 @@ def _value(u, args: list, env: dict, pool: reduction.Pool, max_vertices: int):
         r = pool.shift(a, b)
         return Undefined() if r is None else r
     # a product, and the quotient whose definedness reduce decides, are
-    # built as circuits and taken back into the pool in normal form
+    # built as circuits, reduced and taken back into the pool
     raw = _apply(u, pool.circuit(a), pool.circuit(b))
     _check_size(raw.n_vertices(), max_vertices)
     r = reduction.reduce(raw)
     if r is IMPROPER:
         return Undefined()
     _check_size(r.n_vertices(), max_vertices)
-    return pool.take(reduction.normalize(r))
+    return pool.take(r)
 
 
 def _evaluate(root, kind, env: dict, pool: reduction.Pool, max_vertices: int):
@@ -412,20 +414,22 @@ def _evaluate(root, kind, env: dict, pool: reduction.Pool, max_vertices: int):
 def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
     """Normal-form circuit for the term under an assignment, or Undefined.
 
-    Bindings may be integers or circuits; a circuit binding is normalized
-    first, so an improper one is Undefined at the variable.  The term is
-    evaluated inside one certified circuit, its pool: every subterm's value
-    is a compact marking there, so a sum merges two markings and carries,
-    a shift adds one vertex per summand, and each new value is placed with
-    one binary search.  Products and quotients are reduced as circuits and
-    taken back in normal form; that reduction decides quotient
-    definedness.  Each distinct subterm is evaluated once, however often it
-    occurs.  The vertex ceiling caps each value's part of the pool and
-    each product's and quotient's raw and reduced circuits.
+    Bindings may be integers or circuits; a circuit binding is reduced and
+    taken into the pool, so an improper one is Undefined at the variable.
+    The term is evaluated inside one certified circuit, its pool: every
+    subterm's value is a compact marking there, so a sum merges two
+    markings and carries, a shift adds one vertex per summand, and each new
+    value is placed with one binary search.  Products and quotients are
+    reduced as circuits and taken back into the pool; that reduction
+    decides quotient definedness.  The result is the subgraph of the pool
+    that the term's marking reaches, which is already the normal form, with
+    the pool's vertex ids.  Each distinct subterm is evaluated once,
+    however often it occurs.  The vertex ceiling caps each value's part of
+    the pool and each product's and quotient's raw and reduced circuits.
     """
     pool = reduction.Pool()
     r = _evaluate(t, Term, env or {}, pool, max_vertices)
-    return r if isinstance(r, Undefined) else reduction.normalize(pool.circuit(r))
+    return r if isinstance(r, Undefined) else pool.circuit(r)
 
 
 def eval_formula(f: Formula, env: dict | None = None, max_vertices: int = 10**6):

@@ -180,8 +180,8 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
             calls[-1]["pairs"].append((a.digits, b.digits))
         return real_compare(a, b, domain)
 
-    def locate(self, sv):
-        slot = real_locate(self, sv)
+    def locate(self, sv, lo=1):
+        slot = real_locate(self, sv, lo)
         calls[-1].setdefault("searched", len(calls[-1]["pairs"]))
         return slot
 
@@ -803,3 +803,51 @@ def test_pool_refuses_a_second_vertex_for_one_value():
     two, one = pool.power(1), pool.power(0)
     with pytest.raises(circ.CircuitInvariantError):
         pool.vertex(((two, 1), (one, 1)))
+
+
+def take_cases(rng):
+    """Random circuits, sums of 128-bit integers and tower differences."""
+    cases = [gen.random_circuit(rng, rng.randint(1, 40)) for _ in range(120)]
+    for _ in range(40):
+        c = from_integer(rng.getrandbits(128))
+        for _ in range(rng.randint(1, 7)):
+            c = ar.add(c, from_integer(rng.choice((1, -1)) * rng.getrandbits(128)))
+        cases.append(c)
+    cases += [tower_diff(rng.randint(1, 40), rng.randint(0, 99), rng.randint(0, 99))
+              for _ in range(25)]
+    return cases
+
+
+def test_pool_takes_any_reduced_circuit_in_normal_form():
+    # take makes a reduced circuit's sums and marks compact on the way in,
+    # so the reduced and the normal circuit of one value give one marking
+    pool = reduction.Pool()
+    taken = 0
+    for c in take_cases(random.Random(12)):
+        r = reduce(c)
+        if r is IMPROPER:
+            continue
+        m = pool.take(r)
+        assert m == pool.take(normalize(c))
+        nf = pool.circuit(m)
+        verify_certificate(nf, require_normal=True)
+        assert canonical_bytes(nf) == canonical_bytes(normalize(c))
+        taken += 1
+    assert taken > 80
+    verify_pool(pool)
+
+
+def test_normalize_gives_a_normal_input_back_byte_for_byte():
+    rng = random.Random(13)
+    cases = [gen.random_circuit(rng, rng.randint(1, 12)) for _ in range(300)]
+    cases += [random_sum(rng, rng.randint(2, 12))[0] for _ in range(100)]
+    normal = 0
+    for c in cases:
+        nf = normalize(c)
+        if nf is IMPROPER:
+            continue
+        assert normalize(nf) is nf
+        text = circ.to_json(nf)
+        assert circ.to_json(normalize(circ.from_json(text))) == text
+        normal += 1
+    assert normal >= 200

@@ -820,3 +820,15 @@ def test_eval_formula_matches_oracle():
 def test_tower_comparison_without_expansion():
     f = tl.parse("tower(x)+1 > tower(x)", {"x": 50})
     assert tl.eval_formula(f) is True
+
+
+def test_term_path_never_normalizes(monkeypatch):
+    # products, quotients and circuit bindings are reduced and taken into
+    # the pool, and the pool hands the result out already normal
+    counts = count_calls(monkeypatch, tl.reduction, "normalize")
+    x, y = 12345, gen.tower_circuit(3)
+    r = tl.realize(tl.parse("(x * 3 - (x <<^ 5) >>^ 2) + y * y"), {"x": x, "y": y})
+    assert counts["normalize"] == 0
+    assert r.kind is circ.CircuitKind.NORMAL
+    tl.reduction.verify_certificate(r, require_normal=True)
+    assert circ.eval_bignum(r) == x * 3 - (x << 5 >> 2) + 16 * 16
