@@ -585,8 +585,20 @@ def from_json_dict(doc: dict) -> PowerCircuit:
             if isinstance(label, dict) and "var" in label:
                 c._vars[v] = str(label["var"])
         c._next_id = max(ids, default=-1) + 1
+        # the tables are filled directly, with add_edge's checks; an
+        # endpoint that is not a vertex raises KeyError, as in add_edge
+        succ, pred = c._succ, c._pred
         for e in doc.get("edges", ()):
-            c.add_edge(int(e["from"]), int(e["to"]), int(e["sign"]))
+            v, t, s = int(e["from"]), int(e["to"]), int(e["sign"])
+            out, into = succ[v], pred[t]
+            if s != 1 and s != -1:
+                raise CircuitInvariantError(f"edge sign must be +1 or -1, got {s!r}")
+            if v == t:
+                raise CircuitInvariantError("self loops are not allowed")
+            if t in out:
+                raise CircuitInvariantError(f"duplicate edge {v}->{t}")
+            out[t] = s
+            into.add(v)
         for m in doc.get("marks", ()):
             c.set_mark(int(m["vertex"]), int(m["sign"]))
         for v, label in labels.items():

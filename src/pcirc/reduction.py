@@ -1,5 +1,5 @@
 """Circuit reduction: make vertex values pairwise distinct without ever
-computing them, then normalize.
+computing them; normal forms.
 
 The reducer sweeps the circuit in an order where edges point backward and
 maintains the processed prefix C as a certificate: vertices sorted by value
@@ -90,13 +90,17 @@ Nothing is rewired, so no pool vertex ever changes its value; `keep` only
 drops the vertices that no value still held reaches.
 
 The pool is the one place a normal form is built.  `take` brings in any
-reduced circuit in certificate order, making each vertex's digits and then
-the marks compact over the pool's order, and `circuit` hands a marking out:
+constant circuit, children first, making each vertex's digits and then the
+marks compact over the pool's order, and `circuit` hands a marking out:
 the subgraph it reaches is compact and trimmed, so it is the normal form.
-normalize is reduce, then take into a fresh pool and read back out; a
-normal input comes back as it is.  Normal circuits are canonical: equal
-value implies equal shape, so canonical_bytes compares them whatever their
-vertex ids.
+A reduced circuit comes in in certificate order; any other circuit comes in
+in geometric order, without a sweep, and a vertex whose compact exponent
+has a negative leading digit makes it improper, as in the sweep.  A twin
+of a vertex already in costs one index lookup, not a doubling.  normalize
+is take into a fresh pool and read back out, so the sweep serves reduce
+and sign alone; a normal input comes back as it is.  Normal circuits are
+canonical: equal value implies equal shape, so canonical_bytes compares
+them whatever their vertex ids.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ class ReduceStats:
     each search probe settled by its leading digits) plus structural
     rewrites, and doublings and separations count the sweep's surgery.
     sign counts exactly what reduce of the same circuit would, since the
-    trim it skips counts nothing."""
+    trim it skips counts nothing.  normalize runs no sweep: it counts only
+    its pool's compares."""
 
     ops: int = 0
     doublings: int = 0
@@ -445,13 +450,14 @@ class Pool(_State):
     value, placed with one `locate` and one `insert`.  Nothing is ever
     rewired or merged, so a marking stays valid until `keep` is called
     without it, and an operation pays only for the vertices it adds.
-    `take` turns any reduced circuit into a marking and `circuit` turns a
-    marking back into a normal circuit, so normal forms are made here.
+    `take` turns any constant circuit into a marking, or finds it
+    improper, and `circuit` turns a marking back into a normal circuit, so
+    normal forms are made here.
     """
 
-    def __init__(self):
+    def __init__(self, stats: ReduceStats | None = None):
         c = PowerCircuit()
-        super().__init__(c, (c.add_vertex(),), ())
+        super().__init__(c, (c.add_vertex(),), (), stats)
         self.powers = {}  # integer e -> the vertex worth 2^e
         self.exps = []  # the keys of powers, ascending
 
@@ -598,29 +604,65 @@ class Pool(_State):
         self.powers = {e: v for e, v in self.powers.items() if v in alive}
         self.exps = [e for e in self.exps if e in self.powers]
 
-    def take(self, c: PowerCircuit) -> tuple:
-        """The compact marking of reduced circuit c.
+    def take(self, c: PowerCircuit):
+        """The compact marking of constant circuit c, or IMPROPER.
 
-        c's vertices come in in certificate order, so every digit's key is
-        already in, and each is worth more than the one before: its search
-        starts just above the previous vertex's image.  Its mapped digits,
-        and then the mapped marks, are made compact over the pool's order,
-        carrying into doubling vertices the pool adds where missing.
+        c's vertices that the marks reach come in children first, each
+        mapped to the pool vertex of its value; a leaf is worth 0 and maps
+        to no digit.  Any other vertex is trimmed from a copy first and
+        never looked at, as in reduce.  A vertex's mapped digits are made
+        compact over the pool's order, carrying into doubling vertices the
+        pool adds where missing, and a negative leading digit makes c
+        improper, as in the sweep.  A twin of a vertex already in is then
+        one index lookup.
+
+        A certified circuit comes in in certificate order, so each vertex is
+        worth more than the one before: its search starts just above the
+        previous vertex's image, and its mapped digits have distinct keys,
+        which make_compact takes in rank order.  Any other circuit comes in
+        in geometric order, and two children may share an image, so its
+        digits, and its marks, go through add, which carries equal keys:
+        once for each distinct list of mapped digits, so twins in c share
+        one compaction.
         """
-        order = c.certificate.order
-        if len(order) == 1:
-            return ()
-        rank = c.certificate.rank_map()
+        if not c.is_constant():
+            raise VariableCircuitError("normalize needs a constant circuit")
+        rank = self.rank
+        certified = c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL)
+        if certified:
+            order = c.certificate.order
+
+            def compact(ds):
+                ds.sort(key=lambda d: rank[d[0]], reverse=True)
+                return make_compact(SignedSum(ds), self).digits
+        else:
+            if len(circ.reachable_from_marks(c)) < c.n_vertices():
+                c = c.copy()
+                circ.trim_inplace(c)
+            order = circ.geometric_order(c)
+            seen = {}  # sorted mapped digits -> their compact form
+
+            def compact(ds):
+                key = tuple(sorted(ds))
+                out = seen.get(key)
+                if out is None:
+                    out = seen[key] = self.add((), ds)
+                return out
+
+        succ = c._succ
         m = {}
         lo = 1
-        for v in order[1:]:
-            ds = sorted((d for d in c._succ[v].items() if d[0] != order[0]),
-                        key=lambda d: rank[d[0]], reverse=True)
-            ds = make_compact(SignedSum([(m[t], s) for t, s in ds]), self).digits
+        for v in order:
+            if not succ[v]:
+                m[v] = None
+                continue
+            ds = compact([(m[t], s) for t, s in succ[v].items() if m[t] is not None])
+            if ds and ds[0][1] < 0:
+                return IMPROPER
             m[v] = u = self.vertex(ds, lo=lo)
-            lo = self.rank[u] + 1
-        marks = sorted(c._marks.items(), key=lambda d: rank[d[0]], reverse=True)
-        return make_compact(SignedSum([(m[v], s) for v, s in marks]), self).digits
+            if certified:
+                lo = rank[u] + 1
+        return compact([(m[v], s) for v, s in c._marks.items() if m[v] is not None])
 
 
 def _restrict(order, doubles, alive) -> Certificate:
@@ -697,18 +739,18 @@ def reduce(c: PowerCircuit, stats: ReduceStats | None = None):
 
 
 def normalize(c: PowerCircuit, stats: ReduceStats | None = None):
-    """The unique normal form: reduce, then take the result into a fresh
-    Pool and read it back out.
+    """The unique normal form: take c into a fresh Pool and read it back
+    out, with no sweep; stats counts the take's compares.
 
     Every exponent sum and the mark sum are compact, and nothing is left
     that the marks do not reach.  At most twice the reduced size.  Returns
     IMPROPER for improper circuits; a normal input comes back as it is.
     """
-    r = reduce(c, stats)
-    if r is IMPROPER or r.kind is CircuitKind.NORMAL:
-        return r
-    pool = Pool()
-    return pool.circuit(pool.take(r))
+    if c.kind is CircuitKind.NORMAL and c.certificate is not None and c.is_constant():
+        return c
+    pool = Pool(stats)
+    m = pool.take(c)
+    return m if m is IMPROPER else pool.circuit(m)
 
 
 # -- queries ----------------------------------------------------------------

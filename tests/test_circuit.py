@@ -372,6 +372,22 @@ def test_json_rejects_malformed():
         from_json_dict(doc)
 
 
+def test_json_edges_keep_add_edges_checks():
+    # the loader fills the edge tables directly, with the checks add_edge makes
+    doc = to_json_dict(build([(1, 0, 1), (2, 1, 1)], {2: 1}))
+    for edge in ({"from": 2, "to": 1, "sign": 1},  # duplicate
+                 {"from": 2, "to": 2, "sign": 1},  # self loop
+                 {"from": 2, "to": 0, "sign": 2},
+                 {"from": 2, "to": 0, "sign": 0},
+                 {"from": 2, "to": 7, "sign": 1},
+                 {"from": 7, "to": 0, "sign": 1}):
+        with pytest.raises(CircuitInvariantError):
+            from_json_dict({**doc, "edges": doc["edges"] + [edge]})
+    back = from_json_dict(doc)
+    assert to_json_dict(back) == doc
+    assert {v: set(back.in_vertices(v)) for v in back.vertices()} == {0: {1}, 1: {2}, 2: set()}
+
+
 def test_canonical_bytes_needs_normal():
     c = build([(1, 0, 1)], {1: 1})
     with pytest.raises(CertificateError):

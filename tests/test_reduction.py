@@ -203,9 +203,9 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
     rng = random.Random(3)
     for k in (4, 8, 16, 32):
         c, want = random_sum(rng, k)
-        nf = normalize(c)
-        verify_certificate(nf, require_normal=True)
-        assert eval_bignum(nf, bit_budget=4096) == want
+        r = reduce(c)
+        verify_certificate(r)
+        assert eval_bignum(r, bit_budget=4096) == want
     assert sum(call["separations"] >= 2 for call in calls) > 100
     for call in calls:
         assert len(set(call["pairs"])) == len(call["pairs"])
@@ -255,9 +255,9 @@ def test_exact_twins_are_found_without_a_compare(monkeypatch):
 
 
 def test_memo_never_goes_stale(monkeypatch):
-    # trim ends both reduce and normalize; by then every memoized digit sum
-    # of a vertex still in the circuit must match its out-edges, and every
-    # twin index entry must name a distinct vertex with exactly those digits
+    # trim ends reduce; by then every memoized digit sum of a vertex still
+    # in the circuit must match its out-edges, and every twin index entry
+    # must name a distinct vertex with exactly those digits
     checked = []
     indexed = []
     real_trim = reduction._State.trim
@@ -286,6 +286,8 @@ def test_memo_never_goes_stale(monkeypatch):
         c = positive_dag(rng, rng.randint(5, 40))
         cases.append((ar.subtract(c, relabel(c)), 0))
         cases.append((ar.subtract(ar.add(c, from_integer(1)), relabel(c)), 1))
+    # normalize no longer sweeps, so each case runs one sweep, not two
+    cases += [random_sum(rng, k) for k in (12, 24, 40)]
     for c, want in cases:
         r = reduce(c)
         verify_certificate(r)
@@ -640,28 +642,29 @@ def test_distant_leading_keys_settle_a_compare():
 
 
 def test_sign_and_normalize_count_what_they_counted_before():
-    # ReduceStats totals recorded before the search settled probes from
-    # leading digits and before sign stopped trimming: unchanged work
+    # sign and reduce: ReduceStats totals recorded before the search settled
+    # probes from leading digits and before sign stopped trimming, unchanged
+    # work.  normalize runs no sweep, so its pool's compares alone count
     def stats_of(cases):
-        s, n = ReduceStats(), ReduceStats()
+        totals = ReduceStats(), ReduceStats(), ReduceStats()
         for c in cases:
-            sign(c, s)
-            normalize(c, n)
-        return (s.ops, s.doublings, s.separations), (n.ops, n.doublings, n.separations)
+            for f, t in zip((sign, reduce, normalize), totals):
+                f(c, t)
+        return tuple((t.ops, t.doublings, t.separations) for t in totals)
 
-    assert stats_of([tower_diff(100, 1, 0)]) == ((589, 102, 102),) * 2
-    assert stats_of([tower_diff(400, 1, 0)]) == ((3109, 402, 402),) * 2
+    assert stats_of([tower_diff(100, 1, 0)]) == ((589, 102, 102),) * 2 + ((488, 0, 0),)
+    assert stats_of([tower_diff(400, 1, 0)]) == ((3109, 402, 402),) * 2 + ((2708, 0, 0),)
     rng = random.Random(77)
     dags = [positive_dag(rng, rng.randint(5, 60)) for _ in range(20)]
     twins = [ar.subtract(ar.add(c, from_integer(k)), relabel(c)) for c in dags for k in (0, 1)]
-    assert stats_of(twins) == ((2683, 818, 818),) * 2
+    assert stats_of(twins) == ((2683, 818, 818),) * 2 + ((1432, 0, 0),)
     rng = random.Random(78)
     assert stats_of([gen.random_circuit(rng, rng.randint(1, 80)) for _ in range(200)]) == (
-        (2360, 411, 411),) * 2
+        (2360, 411, 411),) * 2 + ((1492, 0, 0),)
     rng = random.Random(79)
     towers = [tower_diff(rng.randint(1, 60), rng.randint(0, 99), rng.randint(0, 99))
               for _ in range(20)]
-    assert stats_of(towers) == ((3108, 727, 727),) * 2
+    assert stats_of(towers) == ((3108, 727, 727),) * 2 + ((2306, 0, 0),)
 
 
 def test_tower_sign_needs_a_few_compares(monkeypatch):
@@ -851,3 +854,76 @@ def test_normalize_gives_a_normal_input_back_byte_for_byte():
         assert circ.to_json(normalize(circ.from_json(text))) == text
         normal += 1
     assert normal >= 200
+
+
+def take_of_reduce(c):
+    """The normal form as reduce, then take into a fresh pool, made it."""
+    r = reduce(c)
+    if r is IMPROPER:
+        return IMPROPER
+    pool = reduction.Pool()
+    return pool.circuit(pool.take(r))
+
+
+def signed_sum(rng, k):
+    """A circuit of k signed 256-bit summands."""
+    c = from_integer(rng.getrandbits(256))
+    for _ in range(k - 1):
+        x = from_integer(rng.getrandbits(256))
+        c = ar.add(c, x) if rng.random() < 0.5 else ar.subtract(c, x)
+    return c
+
+
+def test_normalize_matches_take_of_reduce():
+    # normalize takes a general circuit in without a sweep; a product's
+    # vertices have children of equal value from both factors, which the
+    # pool carries when it makes their digits compact
+    rng = random.Random(15)
+    cases = [gen.random_circuit(rng, rng.randint(1, 60)) for _ in range(300)]
+    for _ in range(20):
+        x = signed_sum(rng, rng.randint(1, 6))
+        cases += [x, ar.multiply(x, from_integer(rng.randrange(-99, 99))),
+                  ar.mul_pow2(x, ar.add(from_integer(3), from_integer(rng.randrange(9))))]
+    cases += [tower_diff(rng.randint(1, 40), rng.randint(0, 99), rng.randint(0, 99))
+              for _ in range(30)]
+    cases += [gen.blowup_product(n) for n in range(4, 11)]
+    verdicts = set()
+    for c in cases:
+        nf, want = normalize(c), take_of_reduce(c)
+        if want is IMPROPER:
+            assert nf is IMPROPER
+        else:
+            verify_certificate(nf, require_normal=True)
+            assert canonical_bytes(nf) == canonical_bytes(want)
+        verdicts.add(want is IMPROPER)
+    assert verdicts == {True, False}
+
+
+def test_normalize_never_sweeps_a_general_circuit(monkeypatch):
+    def sweep(*args):
+        raise AssertionError("normalize swept")
+
+    monkeypatch.setattr(reduction._State, "process_vertex", sweep)
+    monkeypatch.setattr(reduction, "_sweep", sweep)
+    monkeypatch.setattr(reduction, "reduce", sweep)
+    rng = random.Random(16)
+    for c in [random_sum(rng, 9)[0], gen.blowup_product(8), tower_diff(30, 5, 2)]:
+        assert c.certificate is None
+        verify_certificate(normalize(c), require_normal=True)
+
+
+def test_normalize_looks_only_at_what_the_marks_reach():
+    # vertex 2 is worth 2^(-1): improper only when a mark reaches it; and
+    # a cycle no mark reaches is trimmed, as reduce trims it
+    edges = [(1, 0, 1), (2, 1, -1), (3, 2, 1)]
+    c, _ = build(edges, {1: 1}, 4)
+    assert canonical_bytes(normalize(c)) == canonical_bytes(from_integer(1))
+    c, _ = build(edges, {1: 1, 3: 1}, 4)
+    assert normalize(c) is IMPROPER
+    c, _ = build(edges + [(4, 5, 1), (5, 4, 1)], {1: 1}, 6)
+    assert canonical_bytes(normalize(c)) == canonical_bytes(from_integer(1))
+
+
+def test_normalize_refuses_a_variable_circuit():
+    with pytest.raises(circ.VariableCircuitError):
+        normalize(ar.add(circ.var_circuit("x"), from_integer(3)))
