@@ -93,7 +93,7 @@ class PowerCircuit:
     """
 
     __slots__ = ("_succ", "_pred", "_marks", "_vars", "_next_id", "_frozen", "kind", "certificate",
-                 "seed")
+                 "seed", "_order")
 
     def __init__(self):
         self._succ: dict = {}
@@ -109,6 +109,9 @@ class PowerCircuit:
         # Its order[0] is that operand's zero, which reduce replaces with
         # the one zero standardizing keeps.
         self.seed = None
+        # geometric_order of a frozen circuit that from_json_dict ordered
+        # while validating it; a copy starts without it
+        self._order = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -229,6 +232,11 @@ class PowerCircuit:
 
     def validate(self):
         """Check the representation invariants, raising on violation."""
+        self._checked_order()
+        return self
+
+    def _checked_order(self) -> list:
+        """validate()'s checks; the geometric order they compute."""
         for v, out in self._succ.items():
             for t, s in out.items():
                 if t not in self._succ:
@@ -240,8 +248,7 @@ class PowerCircuit:
         for v in self._marks:
             if v not in self._succ:
                 raise CircuitInvariantError("mark on missing vertex")
-        geometric_order(self)  # raises on cycles
-        return self
+        return geometric_order(self)  # raises on cycles
 
 
 # -- ordering and evaluation ----------------------------------------------
@@ -251,10 +258,14 @@ def geometric_order(c: PowerCircuit) -> list:
     """Vertices listed so every edge points to an earlier position.
 
     Deterministic: among ready vertices the smallest id goes first.  Raises
-    CircuitInvariantError when the graph has a cycle.
+    CircuitInvariantError when the graph has a cycle.  A circuit loaded by
+    from_json_dict was ordered while it was validated, and it is frozen, so
+    its order is read back rather than computed again.
     """
     import heapq
 
+    if c._order is not None and c._frozen:
+        return list(c._order)
     remaining = {v: len(out) for v, out in c._succ.items()}
     ready = [v for v, n in remaining.items() if n == 0]
     heapq.heapify(ready)
@@ -606,7 +617,8 @@ def from_json_dict(doc: dict) -> PowerCircuit:
                 raise CircuitInvariantError(f"zero vertex {v} has edges")
             if label is None and not c._succ[v]:
                 raise CircuitInvariantError(f"leaf vertex {v} needs a label")
-        c.validate()
+        # every return below freezes c, so the order cannot go stale
+        c._order = tuple(c._checked_order())
         kind = CircuitKind(doc.get("kind", CircuitKind.GENERAL.value))
         cert_doc = doc.get("certificate")
         if (cert_doc is None) == (kind in (CircuitKind.REDUCED, CircuitKind.NORMAL)):
@@ -617,10 +629,10 @@ def from_json_dict(doc: dict) -> PowerCircuit:
                 raise CircuitInvariantError("circuit claims to be standard but is not")
             return c.freeze(kind)
         if cert_doc is None:
-            return c
+            return c.freeze()
         order = tuple(int(v) for v in cert_doc["order"])
         doubles = tuple(ch == "1" for ch in cert_doc["doubles"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CircuitInvariantError(
             f"malformed circuit document: {type(exc).__name__}: {exc}") from exc
     if sorted(order) != sorted(ids) or len(doubles) != max(len(order) - 1, 0):
@@ -638,6 +650,8 @@ def from_json(text: str) -> PowerCircuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitInvariantError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise CircuitInvariantError("invalid JSON: nested too deeply") from None
     return from_json_dict(doc)
 
 

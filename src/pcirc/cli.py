@@ -38,10 +38,15 @@ def _parse_let(pairs):
 
 
 def _load_circuit(path: str) -> circ.PowerCircuit:
-    if path == "-":
-        return circ.from_json(sys.stdin.read())
-    with open(path) as f:
-        return circ.from_json(f.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError as exc:
+        raise circ.CircuitInvariantError(f"input is not UTF-8 text: {exc}") from exc
+    return circ.from_json(text)
 
 
 def _dump_circuit(c: circ.PowerCircuit) -> str:

@@ -21,8 +21,20 @@ of two, so when the probed vertex's leading key is neither the searched
 sum's leading key, its half nor its double, the two leading weights
 W < W' are at least a factor 4 apart.  Then the smaller sum is below 2W
 and the larger above W'/2 >= 2W; being integers, they differ by at least
-2.  Such a probe is answered +-2, never +-1 or 0, from the ranks of the
+2.  Such a probe is answered +-2, never +-1 or 0, from the labels of the
 two leading keys, and only the other probes run the digit comparison.
+
+The certificate is kept as order-maintenance labels (Dietz and Sleator,
+STOC 1987) rather than dense ranks: each certified vertex has an integer
+label, increasing along the order but with gaps, and a vertex certified
+between two neighbours takes the midpoint of their labels.  Only when a
+gap runs out is the whole order relabelled, in one pass, so no insert
+renumbers the vertices above it.  The doubling bits are a map from each
+vertex to the one worth twice its value, so is_double and partner are one
+lookup each; an insert only adds to the map, since two vertices with a
+slot between them were never a doubling pair.  A caller that needs a known
+vertex's position in the order bisects the order on labels; a twin found
+in the index is handed back as the vertex, with no search.
 
 After a doubling the vertex is worth exactly twice its twin, so the
 certificate names its next slot without a new search: it meets the twin's
@@ -32,7 +44,7 @@ only the right bit needs a compare.
 The sweep starts from a certificate: the zero alone, or the seed that an
 arithmetic operation leaves on its result, the certificate of its largest
 certified operand.  The seed is restricted to the vertices standardizing
-keeps, the standardized zero goes at rank 0, and pairs that are no longer
+keeps, the standardized zero goes first, and pairs that are no longer
 neighbours get doubling bit False, as in trim.  Seed vertices are indexed
 like inserted ones, so twins still meet them by hash, and only the other
 vertices are swept, in geometric order.  The seed stays valid for the whole
@@ -62,16 +74,17 @@ certificate.  A dead key stays a valid comparison target, and a later twin
 that folds into it brings it back to life.
 
 The state memoizes each certified vertex's digit sum, its children sorted
-by descending rank, and builds it once per sweep.  The memo cannot go
+by descending label, and builds it once per sweep.  The memo cannot go
 stale: a certified vertex's out-edges never change during the sweep, since
 surgery rewires only edges out of the processed vertex and its unprocessed
-parents; and an insert shifts ranks but never reorders certified vertices,
-so a sorted sum stays sorted.  insert seeds the memo with the sum the sweep
-has already built: the one a vertex placed without a separation was
-searched with, or the one insert_above built for its right-bit compare.  A
-doubling changes only the lowest digits, so it updates the processed
-vertex's digit list in place rather than sorting it afresh.  A state made
-from a certificate, in verify_certificate, builds each sum on its first use.
+parents; and neither an insert nor a relabelling reorders certified
+vertices, so a sorted sum stays sorted.  insert seeds the memo with the
+sum the sweep has already built: the one a vertex placed without a
+separation was searched with, or the one insert_above built for its
+right-bit compare.  A doubling changes only the lowest digits, so it
+updates the processed vertex's digit list in place rather than sorting it
+afresh.  A state made from a certificate, in verify_certificate, builds
+each sum on its first use.
 
 insert also indexes each certified vertex by its digit tuple, and locate
 looks a vertex's digits up there before its binary search.  The index
@@ -86,8 +99,11 @@ zero alone and only grows, every vertex's digit sum is compact, and a value
 is a compact marking over its vertices.  Sums merge two markings and carry;
 a carry that finds no doubling partner adds one.  A new vertex costs one
 `locate` and one `insert`, and the index finds every value already there.
-Nothing is rewired, so no pool vertex ever changes its value; `keep` only
-drops the vertices that no value still held reaches.
+Compact sums order lexicographically, so the pool's own `locate` searches
+by reading digits, and runs the five-way comparison only against the two
+neighbours of the slot it finds, which confirm the slot and give its
+doubling bits.  Nothing is rewired, so no pool vertex ever changes its
+value; `keep` only drops the vertices that no value still held reaches.
 
 The pool is the one place a normal form is built.  `take` brings in any
 constant circuit, children first, making each vertex's digits and then the
@@ -128,6 +144,7 @@ from .signed_binary import (
 )
 
 _VALUE_IS_ZERO = object()
+_GAP = 1 << 32  # label spacing: a gap halves with each insert into it
 
 
 @dataclass
@@ -138,7 +155,8 @@ class ReduceStats:
     rewrites, and doublings and separations count the sweep's surgery.
     sign counts exactly what reduce of the same circuit would, since the
     trim it skips counts nothing.  normalize runs no sweep: it counts only
-    its pool's compares."""
+    its pool's search, one op per lexicographic probe plus the iterations
+    of the two neighbour compares that confirm each slot."""
 
     ops: int = 0
     doublings: int = 0
@@ -148,18 +166,32 @@ class ReduceStats:
 class _State(KeyDomain):
     """Mutable working certificate over a circuit being reduced.
 
-    Digit keys are vertex ids; their order is the position in `order`.
+    Digit keys are vertex ids.  `order` lists the certified vertices by
+    value; `rank` gives each an integer label that increases along `order`
+    but leaves gaps, so an insert labels only the new vertex: it takes the
+    midpoint of its neighbours' labels, or the top label plus _GAP, and a
+    gap that runs out relabels the whole order once.  A position in `order`
+    is found by bisecting on labels.  `twice` maps a vertex to the one
+    worth exactly twice its value; an insert only adds to it, since two
+    vertices with a slot between them were never a doubling pair.
     """
 
     def __init__(self, c: PowerCircuit, order, doubles, stats: ReduceStats | None = None):
         self.c = c
         self.zero = order[0]
         self.order = list(order)
-        self.doubles = list(doubles)
-        self.rank = {v: i for i, v in enumerate(self.order)}
+        self.rank = {v: i * _GAP for i, v in enumerate(self.order)}
+        self.twice = _pairs(self.order, doubles)
         self.stats = ReduceStats() if stats is None else stats
         self.sums = {}  # certified vertex -> its digit sum, built once
         self.vertex_of = {}  # digit tuple -> the certified vertex with those digits
+
+    @property
+    def doubles(self) -> list:
+        """The doubling bit of each pair of neighbours in order, as a
+        certificate lists them."""
+        twice = self.twice
+        return [twice.get(a) == b for a, b in zip(self.order, self.order[1:])]
 
     # KeyDomain over vertex ids
 
@@ -169,8 +201,7 @@ class _State(KeyDomain):
         return (ra > rb) - (ra < rb)
 
     def is_double(self, a, b) -> bool:
-        rb = self.rank[b]
-        return self.rank[a] == rb + 1 and self.doubles[rb]
+        return self.twice.get(b) == a
 
     def is_unit(self, v) -> bool:
         out = self.c._succ[v]
@@ -178,27 +209,37 @@ class _State(KeyDomain):
 
     def partner(self, v):
         """The vertex worth 2 * value(v), or None."""
-        r = self.rank[v] + 1
-        if r < len(self.order) and self.doubles[r - 1]:
-            return self.order[r]
-        return None
+        return self.twice.get(v)
 
     # certificate maintenance
 
-    def _rebuild_ranks(self, start: int):
-        for i in range(start, len(self.order)):
-            self.rank[self.order[i]] = i
+    def position(self, v) -> int:
+        """The index of certified vertex v in order."""
+        rank = self.rank
+        return bisect.bisect_left(self.order, rank[v], key=rank.__getitem__)
+
+    def _relabel(self):
+        for i, v in enumerate(self.order):
+            self.rank[v] = i * _GAP
 
     def insert(self, v, sv: SignedSum, pos: int, bit_left: bool, bit_right: bool):
-        """Certify v, whose digit sum is sv, at rank pos."""
-        self.order.insert(pos, v)
-        if pos == len(self.order) - 1:
-            if len(self.order) >= 2:
-                self.doubles.append(bit_left)
+        """Certify v, whose digit sum is sv, at position pos of order."""
+        order, rank = self.order, self.rank
+        order.insert(pos, v)
+        below = rank[order[pos - 1]]
+        if pos + 1 < len(order):
+            above = order[pos + 1]
+            gap = rank[above] - below
+            if gap > 1:
+                rank[v] = below + gap // 2
+            else:
+                self._relabel()
+            if bit_right:
+                self.twice[v] = above
         else:
-            self.doubles[pos - 1] = bit_left
-            self.doubles.insert(pos, bit_right)
-        self._rebuild_ranks(pos)
+            rank[v] = below + _GAP
+        if bit_left:
+            self.twice[order[pos - 1]] = v
         self.sums[v] = sv
         self.vertex_of[sv.digits] = v
 
@@ -209,7 +250,7 @@ class _State(KeyDomain):
     def insert_above(self, v, u, ds):
         """Insert v, whose digits are ds and whose value is 2 * value(u),
         into the free slot just above u."""
-        pos = self.rank[u] + 1
+        pos = self.position(u) + 1
         sv = SignedSum(ds)
         right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
         self.insert(v, sv, pos, True, right)
@@ -230,46 +271,61 @@ class _State(KeyDomain):
         return su
 
     def _cmp(self, sv: SignedSum, u) -> int:
-        r, it = compare_counted(sv, self.sum_of(u), self)
+        """compare_counted(sv, sum_of(u)), adding its iterations to ops.  A
+        pair of leading keys that are neither equal nor a doubling pair
+        settles it as +-2, signed as the larger key's digit, for one op."""
+        su = self.sum_of(u)
+        if sv.digits and su.digits:
+            (ka, ca), (kb, cb) = sv.digits[0], su.digits[0]
+            if ka != kb and self.twice.get(ka) != kb and self.twice.get(kb) != ka:
+                self.stats.ops += 1
+                return 2 * ca if self.rank[ka] > self.rank[kb] else -2 * cb
+        r, it = compare_counted(sv, su, self)
         self.stats.ops += it
         return r
 
     def locate(self, sv: SignedSum, lo: int = 1):
-        """(rank, None) when order[rank] has sv's value, else (insertion
-        rank, (bit_left, bit_right)).  A caller that knows sv's value lies
-        above order[lo - 1]'s starts the search at lo.
+        """(twin, None) when certified vertex twin has sv's value, else
+        (insertion position, (bit_left, bit_right)).  A caller that knows
+        sv's value lies above order[lo - 1]'s starts the search at lo.
 
         The search compared sv with both new neighbours last, so those
         compares already say whether each is an exact half or double; only
-        a slot at the bottom of a search started above rank 1 needs one
+        a slot at the bottom of a search started above position 1 needs one
         more compare, with order[lo - 1], for its left bit.  A certified
         vertex with exactly sv's digits is found without a compare.
         A probe whose leading key is neither sv's own, its half nor its
-        double is settled as +-2 from the two ranks; it counts one op, as
+        double is settled as +-2 from the two labels; it counts one op, as
         the one iteration compare_counted would take on it.  The other
         probes compare with the probed vertex's memoized sum, which the
         sweep holds for every certified vertex.
         """
         u = self.vertex_of.get(sv.digits)
         if u is not None:
-            return self.rank[u], None
-        order, rank, doubles, sums, stats = self.order, self.rank, self.doubles, self.sums, self.stats
-        ra = rank[sv.digits[0][0]] if sv.digits else None
+            return u, None
+        order, rank, twice, sums, stats = self.order, self.rank, self.twice, self.sums, self.stats
+        ka = sv.digits[0][0] if sv.digits else None
+        if ka is not None:
+            ra, up = rank[ka], twice.get(ka)
         start, hi = lo, len(order)
         left = right = False
         while lo < hi:
             mid = (lo + hi) // 2
             su = sums[order[mid]]
-            d = ra - rank[su.digits[0][0]] if ra is not None and su.digits else 0
-            if d > 1 or d == 1 and not doubles[ra - 1]:
-                r, it = 2, 1
-            elif d < -1 or d == -1 and not doubles[ra]:
-                r, it = -2, 1
-            else:
+            if ka is None or not su.digits:
                 r, it = compare_counted(sv, su, self)
+            else:
+                kb = su.digits[0][0]
+                rb = rank[kb]
+                if ra > rb and twice.get(kb) != ka:
+                    r, it = 2, 1
+                elif ra < rb and up != kb:
+                    r, it = -2, 1
+                else:
+                    r, it = compare_counted(sv, su, self)
             stats.ops += it
             if r == 0:
-                return mid, None
+                return order[mid], None
             if r < 0:
                 hi, right = mid, r == -1
             else:
@@ -333,7 +389,7 @@ class _State(KeyDomain):
         while t is not None and out.get(t) == 1:
             chain.append(t)
             t = self.partner(t)
-        # the chain has ranks 1 .. len(chain), so it is the tail of ds
+        # the chain holds positions 1 .. len(chain), so it is the tail of ds
         for u in chain:
             c.remove_edge(v, u)
             self.stats.ops += 1
@@ -413,13 +469,12 @@ class _State(KeyDomain):
         if ds and ds[0][1] < 0:
             return IMPROPER
         sv = SignedSum(ds)
-        pos, bits = self.locate(sv)
+        vi, bits = self.locate(sv)
         if bits is not None:
-            self.insert(v, sv, pos, *bits)
+            self.insert(v, sv, vi, *bits)
             return None
         # once doubled, v is worth twice its twin vi: it meets vi's doubling
         # partner, or it takes the free slot just above vi
-        vi = self.order[pos]
         while True:
             self.double_value(vi, v, ds)
             self.stats.separations += 1
@@ -436,20 +491,21 @@ class _State(KeyDomain):
     def trim(self) -> Certificate:
         """Drop mark-unreachable vertices; the survivors' certificate."""
         circ.trim_inplace(self.c)
-        return _restrict(self.order, self.doubles, self.c._succ)
+        return _restrict(self.order, self.twice, self.c._succ)
 
 
 class Pool(_State):
     """One certified circuit that only grows, holding many values at once.
 
     Values are compact markings: tuples of (vertex, +-1) in descending
-    rank, with no two keys within a factor of two.  Every certified vertex
+    order, with no two keys within a factor of two.  Every certified vertex
     other than the zero has a compact digit sum, so its digits are the one
     compact form of its exponent: equal values have equal digit tuples, and
     `vertex_of` finds every value the pool holds.  A lookup miss is a new
-    value, placed with one `locate` and one `insert`.  Nothing is ever
-    rewired or merged, so a marking stays valid until `keep` is called
-    without it, and an operation pays only for the vertices it adds.
+    value, placed with one lexicographic `locate`, which its two
+    neighbours confirm, and one `insert`.  Nothing is ever rewired or
+    merged, so a marking stays valid until `keep` is called without it,
+    and an operation pays only for the vertices it adds.
     `take` turns any constant circuit into a marking, or finds it
     improper, and `circuit` turns a marking back into a normal circuit, so
     normal forms are made here.
@@ -463,23 +519,72 @@ class Pool(_State):
 
     def vertex(self, ds: tuple, slot=None, lo: int = 1):
         """The vertex whose digits are the compact tuple ds, added if new,
-        at the (rank, doubling bits) slot if the caller knows it, else
-        searched for from rank lo up."""
+        at the (position, doubling bits) slot if the caller knows it, else
+        searched for from position lo up.
+
+        A tuple that is not a compact sum of pool vertices with a positive
+        leading digit is refused, and so is a slot that its neighbours do
+        not confirm; neither leaves a trace.  A compact ds holds no loop
+        and no key twice, so the new vertex's edges go straight into the
+        graph tables.
+        """
         v = self.vertex_of.get(ds)
         if v is not None:
             return v
-        c = self.c
-        v = c.add_vertex()
+        rank, twice = self.rank, self.twice
+        prev = None
         for t, s in ds:
-            c.add_edge(v, t, s)
-        if not ds:
-            c.add_edge(v, self.zero, 1)
+            r = rank.get(t)
+            if not r or s != 1 and s != -1 or prev is not None and (
+                    r >= rank[prev] or twice.get(t) == prev):
+                raise CircuitInvariantError(f"not a compact exponent over the pool: {ds!r}")
+            prev = t
+        if ds and ds[0][1] < 0:
+            raise CircuitInvariantError("a pool vertex needs a positive leading digit")
         sv = SignedSum(ds)
         pos, bits = self.locate(sv, lo) if slot is None else slot
         if bits is None:
             raise CircuitInvariantError("a compact digit tuple missed its twin's index entry")
+        c = self.c
+        v = c.add_vertex()
+        out, pred = c._succ[v], c._pred
+        for t, s in ds or ((self.zero, 1),):
+            out[t] = s
+            pred[t].add(v)
         self.insert(v, sv, pos, *bits)
         return v
+
+    def locate(self, sv: SignedSum, lo: int = 1):
+        """_State.locate for a compact sv: the same answer, from a
+        lexicographic search.
+
+        Each probe is one _lex_sign against a pool sum, which reads digits
+        only and counts one op.  The slot is then confirmed against both
+        neighbours with _cmp, which also gives the doubling bits; a value
+        that is not strictly between them is refused, so a search misled by
+        a sum that is not compact never certifies anything.
+        """
+        order, rank, sums = self.order, self.rank, self.sums
+        a = sv.digits
+        hi = len(order)
+        probes = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probes += 1
+            r = _lex_sign(a, sums[order[mid]].digits, rank)
+            if r > 0:
+                lo = mid + 1
+            elif r < 0:
+                hi = mid
+            else:
+                self.stats.ops += probes
+                return order[mid], None
+        self.stats.ops += probes
+        left = self._cmp(sv, order[lo - 1]) if lo > 1 else 2
+        right = self._cmp(sv, order[lo]) if lo < len(order) else -2
+        if left <= 0 or right >= 0:
+            raise CircuitInvariantError("a digit tuple is not strictly between its neighbours")
+        return lo, (left == 1, right == -1)
 
     def successor(self, v):
         """The vertex worth 2 * value(v), added if missing, so carries never
@@ -499,12 +604,12 @@ class Pool(_State):
         v = self.powers.get(e)
         if v is None:
             ds = self.integer(e)
-            exps, rank = self.exps, self.rank
+            exps, order = self.exps, self.order
             i = bisect.bisect(exps, e)
-            pos = rank[self.powers[exps[i - 1]]] + 1 if i else 1
-            above = rank[self.powers[exps[i]]] if i < len(exps) else len(self.order)
+            pos = self.position(self.powers[exps[i - 1]]) + 1 if i else 1
+            above = self.powers[exps[i]] if i < len(exps) else None
             slot = None
-            if pos == above:
+            if (order[pos] if pos < len(order) else None) == above:
                 slot = pos, (i > 0 and exps[i - 1] == e - 1, i < len(exps) and exps[i] == e + 1)
             v = self.powers[e] = self.vertex(ds, slot)
             exps.insert(i, e)
@@ -576,7 +681,7 @@ class Pool(_State):
         w._succ = {v: dict(succ[v]) for v in reach}
         w._pred = {v: pred[v] & reach for v in reach}
         w._next_id = self.c._next_id
-        return w.freeze(CircuitKind.NORMAL, _restrict(self.order, self.doubles, reach))
+        return w.freeze(CircuitKind.NORMAL, _restrict(self.order, self.twice, reach))
 
     def reach(self, markings) -> set:
         """The vertices that the markings reach, their own included."""
@@ -598,9 +703,9 @@ class Pool(_State):
         for v in [v for v in self.order if v not in alive]:
             self.c.remove_vertex(v)
             del self.vertex_of[self.sums.pop(v).digits]
-        cert = _restrict(self.order, self.doubles, alive)
-        self.order, self.doubles = list(cert.order), list(cert.doubles)
-        self.rank = cert.rank_map()
+            del self.rank[v]
+        self.order = [v for v in self.order if v in alive]
+        self.twice = {a: b for a, b in self.twice.items() if a in alive and b in alive}
         self.powers = {e: v for e, v in self.powers.items() if v in alive}
         self.exps = [e for e in self.exps if e in self.powers]
 
@@ -619,7 +724,7 @@ class Pool(_State):
         A certified circuit comes in in certificate order, so each vertex is
         worth more than the one before: its search starts just above the
         previous vertex's image, and its mapped digits have distinct keys,
-        which make_compact takes in rank order.  Any other circuit comes in
+        which make_compact takes in label order.  Any other circuit comes in
         in geometric order, and two children may share an image, so its
         digits, and its marks, go through add, which carries equal keys:
         once for each distinct list of mapped digits, so twins in c share
@@ -661,22 +766,46 @@ class Pool(_State):
                 return IMPROPER
             m[v] = u = self.vertex(ds, lo=lo)
             if certified:
-                lo = rank[u] + 1
+                lo = self.position(u) + 1
         return compact([(m[v], s) for v, s in c._marks.items() if m[v] is not None])
 
 
-def _restrict(order, doubles, alive) -> Certificate:
-    """The certificate of order's vertices that are in alive.
+def _lex_sign(a: tuple, b: tuple, rank) -> int:
+    """The sign of value(a) - value(b) for compact digit tuples a and b
+    whose keys rank orders.
+
+    A compact sum whose leading digit is +-W lies strictly between +-2W/3
+    and +-4W/3, since the digits below add up to less than W/3 either way.
+    So a tail led by a higher key outweighs any tail led by a lower one,
+    and two sums differ as their first differing digits do: the higher
+    key's sign decides, or on one key the + side is larger, or when one
+    sum runs out the other's next sign does.
+    """
+    for (ka, ca), (kb, cb) in zip(a, b):
+        if ka != kb:
+            return ca if rank[ka] > rank[kb] else -cb
+        if ca != cb:
+            return ca
+    n, m = len(a), len(b)
+    return a[m][1] if n > m else -b[n][1] if m > n else 0
+
+
+def _pairs(order, doubles) -> dict:
+    """{a: b} for each pair of neighbours a, b in order whose doubling bit
+    is set: b is worth exactly twice a."""
+    return {a: b for a, b, d in zip(order, order[1:], doubles) if d}
+
+
+def _restrict(order, twice, alive) -> Certificate:
+    """The certificate of order's vertices that are in alive, where twice
+    maps a vertex to the one worth twice its value.
 
     Survivors that were neighbours keep their doubling bit.  Any other pair
     had a power of two strictly between them, so it is at least a factor 4
-    apart and gets False.
+    apart, is not in twice, and gets False.
     """
-    kept = [i for i, v in enumerate(order) if v in alive]
-    return Certificate(
-        tuple(order[i] for i in kept),
-        tuple(j == i + 1 and doubles[i] for i, j in zip(kept, kept[1:])),
-    )
+    kept = tuple(v for v in order if v in alive)
+    return Certificate(kept, tuple(twice.get(a) == b for a, b in zip(kept, kept[1:])))
 
 
 def _trivial_result(w: PowerCircuit) -> PowerCircuit:
@@ -704,8 +833,11 @@ def _sweep(c: PowerCircuit, stats: ReduceStats | None):
     if not w.is_zero_leaf(zero):
         raise CircuitInvariantError("standard circuit must start at its zero")
     # the seed's own zero may have been merged into this one
-    start = Certificate((zero,), ()) if c.seed is None else _restrict(
-        (zero,) + c.seed.order[1:], c.seed.doubles, w._succ)
+    if c.seed is None:
+        start = Certificate((zero,), ())
+    else:
+        seed = (zero,) + c.seed.order[1:]
+        start = _restrict(seed, _pairs(seed, c.seed.doubles), w._succ)
     st = _State(w, start.order, start.doubles, stats)
     for v in start.order[1:]:
         st.index(v)
@@ -829,7 +961,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
         r, _ = compare_counted(st.sum_of(b), st.sum_of(a), st)
         if r <= 0:
             raise CertificateError("certificate order is not increasing")
-        if (r == 1) != st.doubles[i]:
+        if (r == 1) != st.is_double(b, a):
             raise CertificateError("doubling bit disagrees with values")
     if require_normal:
         mds = sorted(c.marks.items(), key=lambda m: st.rank[m[0]], reverse=True)

@@ -388,6 +388,35 @@ def test_json_edges_keep_add_edges_checks():
     assert {v: set(back.in_vertices(v)) for v in back.vertices()} == {0: {1}, 1: {2}, 2: set()}
 
 
+def test_a_loaded_circuit_is_ordered_once(monkeypatch):
+    # validating a document computes its geometric order; the loaded
+    # circuit is frozen and keeps that order, so normalize does not order it
+    # again, while a copy, which can be edited, starts without it
+    import heapq
+
+    from pcirc.reduction import normalize
+
+    sorts = []
+    real = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda xs: (sorts.append(len(xs)), real(xs))[1])
+    rng = random.Random(5)
+    for _ in range(20):
+        c = gen.random_circuit(rng, rng.randrange(2, 40))
+        sorts.clear()
+        back = from_json(to_json(c))
+        assert len(sorts) == 1
+        with pytest.raises(FrozenCircuitError):
+            back.add_vertex()
+        nf = normalize(back)
+        if len(circ.reachable_from_marks(c)) == c.n_vertices():
+            assert len(sorts) == 1  # a trimmed copy would be ordered afresh
+        assert (nf is IMPROPER) == (normalize(c) is IMPROPER)
+        assert geometric_order(back) == geometric_order(c)
+        w = back.copy()
+        w.add_edge(w.add_vertex(), min(w.zero_vertices()), 1)
+        assert len(geometric_order(w)) == back.n_vertices() + 1
+
+
 def test_canonical_bytes_needs_normal():
     c = build([(1, 0, 1)], {1: 1})
     with pytest.raises(CertificateError):

@@ -184,6 +184,49 @@ def test_normalize_rejects_garbage(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: malformed circuit document")
 
 
+def test_normalize_rejects_json_nested_too_deeply(tmp_path, capsys):
+    # json gives up with RecursionError, which used to escape as exit 1
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "normalize", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON")
+
+
+def test_normalize_rejects_an_infinite_id(tmp_path, capsys):
+    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    p = tmp_path / "inf.json"
+    p.write_text('{"kind": "general", "vertices": [{"id": 1e400, "label": "zero"}],'
+                 ' "edges": [], "marks": [{"vertex": 0, "sign": 1}]}')
+    code, out, err = run(capsys, "normalize", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed circuit document")
+
+
+@pytest.mark.parametrize("command", ["normalize", "stats"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xd0\x00")
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert "not UTF-8" in err
+
+
+def test_a_cycle_no_mark_reaches_still_exits_2(tmp_path, capsys):
+    # a loaded circuit is ordered once, while it is validated; the cycle
+    # 2 -> 3 -> 2 is outside what the mark reaches, and still refused
+    doc = {"kind": "general",
+           "vertices": [{"id": i, "label": "zero" if i == 0 else None} for i in range(4)],
+           "edges": [{"from": 1, "to": 0, "sign": 1}, {"from": 2, "to": 3, "sign": 1},
+                     {"from": 3, "to": 2, "sign": 1}],
+           "marks": [{"vertex": 1, "sign": 1}]}
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "normalize", str(p))
+    assert (code, out) == (2, "")
+    assert "cycle" in err
+
+
 def test_stats_expression(capsys):
     code, out, _ = run(capsys, "stats", "12")
     assert code == 0

@@ -227,11 +227,11 @@ def test_exact_twins_are_found_without_a_compare(monkeypatch):
     def locate(self, sv):
         twin = [u for u in self.order[1:] if SignedSum(self.digits_of(u)) == sv]
         before = len(compares)
-        pos, bits = real_locate(self, sv)
+        found, bits = real_locate(self, sv)
         if twin:
-            assert bits is None and [self.order[pos]] == twin
+            assert bits is None and [found] == twin
             twins.append(len(compares) - before)
-        return pos, bits
+        return found, bits
 
     monkeypatch.setattr(reduction, "compare_counted", compare)
     monkeypatch.setattr(reduction._State, "locate", locate)
@@ -644,7 +644,8 @@ def test_distant_leading_keys_settle_a_compare():
 def test_sign_and_normalize_count_what_they_counted_before():
     # sign and reduce: ReduceStats totals recorded before the search settled
     # probes from leading digits and before sign stopped trimming, unchanged
-    # work.  normalize runs no sweep, so its pool's compares alone count
+    # work.  normalize runs no sweep, so its pool's compares alone count:
+    # one op per lexicographic probe plus the two neighbour checks
     def stats_of(cases):
         totals = ReduceStats(), ReduceStats(), ReduceStats()
         for c in cases:
@@ -652,19 +653,19 @@ def test_sign_and_normalize_count_what_they_counted_before():
                 f(c, t)
         return tuple((t.ops, t.doublings, t.separations) for t in totals)
 
-    assert stats_of([tower_diff(100, 1, 0)]) == ((589, 102, 102),) * 2 + ((488, 0, 0),)
-    assert stats_of([tower_diff(400, 1, 0)]) == ((3109, 402, 402),) * 2 + ((2708, 0, 0),)
+    assert stats_of([tower_diff(100, 1, 0)]) == ((589, 102, 102),) * 2 + ((588, 0, 0),)
+    assert stats_of([tower_diff(400, 1, 0)]) == ((3109, 402, 402),) * 2 + ((3108, 0, 0),)
     rng = random.Random(77)
     dags = [positive_dag(rng, rng.randint(5, 60)) for _ in range(20)]
     twins = [ar.subtract(ar.add(c, from_integer(k)), relabel(c)) for c in dags for k in (0, 1)]
-    assert stats_of(twins) == ((2683, 818, 818),) * 2 + ((1432, 0, 0),)
+    assert stats_of(twins) == ((2683, 818, 818),) * 2 + ((1946, 0, 0),)
     rng = random.Random(78)
     assert stats_of([gen.random_circuit(rng, rng.randint(1, 80)) for _ in range(200)]) == (
-        (2360, 411, 411),) * 2 + ((1492, 0, 0),)
+        (2360, 411, 411),) * 2 + ((2133, 0, 0),)
     rng = random.Random(79)
     towers = [tower_diff(rng.randint(1, 60), rng.randint(0, 99), rng.randint(0, 99))
               for _ in range(20)]
-    assert stats_of(towers) == ((3108, 727, 727),) * 2 + ((2306, 0, 0),)
+    assert stats_of(towers) == ((3108, 727, 727),) * 2 + ((2931, 0, 0),)
 
 
 def test_tower_sign_needs_a_few_compares(monkeypatch):
@@ -765,8 +766,11 @@ def test_pool_sums_carry_into_compact_markings():
 
 
 def verify_pool(pool):
-    """The pool's order and doubling bits certify all of it, its index
-    holds every vertex, and every digit sum is compact."""
+    """The pool's order and doubling bits certify all of it, its labels
+    increase along its order, its index holds every vertex, and every digit
+    sum is compact."""
+    labels = [pool.rank[v] for v in pool.order]
+    assert labels == sorted(set(labels)) and len(pool.rank) == len(pool.order)
     c = pool.c.copy()
     for v in pool.order[1:]:
         c.set_mark(v, 1)
@@ -800,12 +804,98 @@ def test_pool_keep_drops_only_what_no_held_marking_reaches():
 
 def test_pool_refuses_a_second_vertex_for_one_value():
     # 2^3 is already there with the compact exponent 4 - 1; the same value
-    # under the exponent 2 + 1 misses the index and the search finds the twin
+    # under the exponent 2 + 1, which is not compact, misses the index and
+    # is refused
     pool = reduction.Pool()
     pool.power(3)
     two, one = pool.power(1), pool.power(0)
     with pytest.raises(circ.CircuitInvariantError):
         pool.vertex(((two, 1), (one, 1)))
+
+
+def test_pool_sums_order_lexicographically():
+    # compact sums differ as their first differing digits do, so the pool's
+    # search reads digits only; on every pair of pool sums and held values,
+    # that sign is the sign of the five-way comparison
+    pool = reduction.Pool()
+    rng = random.Random(21)
+    held = []
+    for _ in range(30):
+        a, b = (pool.integer(rng.randrange(-(1 << 64), 1 << 64)) for _ in range(2))
+        held += [a, pool.add(a, b), pool.shift(b, pool.integer(rng.randrange(200)))]
+    sums = [pool.sums[v].digits for v in pool.order[1:]] + held
+    assert len(sums) > 300
+    for a in sums:
+        for b in sums:
+            r, _ = reduction.compare_counted(SignedSum(a), SignedSum(b), pool)
+            assert reduction._lex_sign(a, b, pool.rank) == (r > 0) - (r < 0)
+    verify_pool(pool)
+
+
+def test_a_label_gap_that_runs_out_relabels_the_pool(monkeypatch):
+    # each power goes just below the one before, into a gap that halves
+    # each time, until a relabel spaces the whole order out again
+    relabels = []
+    real = reduction._State._relabel
+
+    def relabel(self):
+        relabels.append(len(self.order))
+        real(self)
+
+    monkeypatch.setattr(reduction._State, "_relabel", relabel)
+    pool = reduction.Pool()
+    for e in range(400, 0, -1):
+        pool.power(e)
+    assert relabels
+    verify_pool(pool)
+    for e in (1, 2, 77, 399, 400):
+        assert eval_bignum(pool.circuit(((pool.power(e), 1),))) == 2**e
+    assert pool.integer(12345) == pool.add(pool.integer(12000), pool.integer(345))
+    verify_pool(pool)
+
+
+def test_pool_vertex_refuses_what_it_cannot_certify():
+    # random digit tuples over the pool: a tuple that is not a compact
+    # exponent is refused and leaves nothing behind, and every other one
+    # is a new value or the vertex already holding it
+    pool = reduction.Pool()
+    rng = random.Random(23)
+    for _ in range(30):
+        pool.integer(rng.randrange(-(1 << 32), 1 << 32))
+    refused = added = 0
+    for _ in range(3000):
+        keys = rng.sample(pool.order, rng.randint(0, min(4, len(pool.order))))
+        if rng.random() < 0.8:
+            keys.sort(key=pool.rank.__getitem__, reverse=True)
+        ds = tuple((k, rng.choice((1, 1, 1, -1))) for k in keys)
+        if rng.random() < 0.05:
+            ds = ds[:1] + ((pool.c._next_id, 1),) + ds[1:]
+        if rng.random() < 0.05:
+            ds += ((pool.order[1], 2),)
+        before = pool.c.n_vertices()
+        try:
+            v = pool.vertex(ds)
+        except circ.CircuitInvariantError:
+            assert pool.c.n_vertices() == before
+            refused += 1
+        else:
+            assert pool.sums[v].digits == ds
+            added += pool.c.n_vertices() - before
+    assert refused > 1000 and added > 200
+    verify_pool(pool)
+
+
+def test_pool_certifies_nothing_its_neighbours_refuse(monkeypatch):
+    # a search that goes wrong ends in the neighbour check, not in the pool
+    pool = reduction.Pool()
+    ds = pool.integer(100)
+    pool.integer(300)
+    monkeypatch.setattr(reduction, "_lex_sign", lambda a, b, rank: -1)
+    before = pool.c.n_vertices()
+    with pytest.raises(circ.CircuitInvariantError, match="neighbours"):
+        pool.vertex(ds)
+    assert pool.c.n_vertices() == before
+    verify_pool(pool)
 
 
 def take_cases(rng):
