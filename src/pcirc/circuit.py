@@ -580,15 +580,24 @@ def to_json(c: PowerCircuit) -> str:
     return json.dumps(to_json_dict(c), indent=2, sort_keys=False) + "\n"
 
 
+def _ints(xs):
+    """xs as a list, when each of its items is a JSON integer.  A float, a
+    bool or a string is refused rather than truncated or converted."""
+    xs = list(xs)
+    for x in xs:
+        if type(x) is not int:
+            raise CircuitInvariantError(f"malformed circuit document: {x!r} is not an integer")
+    return xs
+
+
 def from_json_dict(doc: dict) -> PowerCircuit:
     c = PowerCircuit()
     try:
-        ids = [int(v["id"]) for v in doc["vertices"]]
+        ids = _ints([v["id"] for v in doc["vertices"]])
         if len(set(ids)) != len(ids):
             raise CircuitInvariantError("duplicate vertex ids")
         labels = {}
-        for entry in doc["vertices"]:
-            v = int(entry["id"])
+        for v, entry in zip(ids, doc["vertices"]):
             label = entry.get("label")
             c._succ[v] = {}
             c._pred[v] = set()
@@ -600,7 +609,9 @@ def from_json_dict(doc: dict) -> PowerCircuit:
         # endpoint that is not a vertex raises KeyError, as in add_edge
         succ, pred = c._succ, c._pred
         for e in doc.get("edges", ()):
-            v, t, s = int(e["from"]), int(e["to"]), int(e["sign"])
+            v, t, s = e["from"], e["to"], e["sign"]
+            if type(v) is not int or type(t) is not int or type(s) is not int:
+                raise CircuitInvariantError(f"malformed circuit document: edge {e!r} needs integer ends and sign")
             out, into = succ[v], pred[t]
             if s != 1 and s != -1:
                 raise CircuitInvariantError(f"edge sign must be +1 or -1, got {s!r}")
@@ -611,7 +622,7 @@ def from_json_dict(doc: dict) -> PowerCircuit:
             out[t] = s
             into.add(v)
         for m in doc.get("marks", ()):
-            c.set_mark(int(m["vertex"]), int(m["sign"]))
+            c.set_mark(*_ints((m["vertex"], m["sign"])))
         for v, label in labels.items():
             if label == "zero" and c._succ[v]:
                 raise CircuitInvariantError(f"zero vertex {v} has edges")
@@ -630,9 +641,9 @@ def from_json_dict(doc: dict) -> PowerCircuit:
             return c.freeze(kind)
         if cert_doc is None:
             return c.freeze()
-        order = tuple(int(v) for v in cert_doc["order"])
+        order = tuple(_ints(cert_doc["order"]))
         doubles = tuple(ch == "1" for ch in cert_doc["doubles"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CircuitInvariantError(
             f"malformed circuit document: {type(exc).__name__}: {exc}") from exc
     if sorted(order) != sorted(ids) or len(doubles) != max(len(order) - 1, 0):

@@ -104,6 +104,17 @@ by reading digits, and runs the five-way comparison only against the two
 neighbours of the slot it finds, which confirm the slot and give its
 doubling bits.  Nothing is rewired, so no pool vertex ever changes its
 value; `keep` only drops the vertices that no value still held reaches.
+The pool's circuit keeps out-edges only, with no predecessor set per
+vertex; `circuit` builds them for the subgraph it hands out.
+
+The pool registers the vertices 2^e it makes for integers e by their
+exponents.  An integer's missing powers, those of its compact digits and
+of their exponents' digits in turn, are gathered first and added lowest
+first, so each one's digits are already in, and each goes at the slot its
+registered neighbours name, with no search; powers above the top take
+fresh labels instead of halving a gap.  A carry out of a registered 2^e
+that finds no partner is 2^(e+1), placed the same way, so a literal and
+its sums need no `locate`.
 
 The pool is the one place a normal form is built.  `take` brings in any
 constant circuit, children first, making each vertex's digits and then the
@@ -509,12 +520,20 @@ class Pool(_State):
     `take` turns any constant circuit into a marking, or finds it
     improper, and `circuit` turns a marking back into a normal circuit, so
     normal forms are made here.
+
+    The pool's circuit keeps out-edges only.  Nothing reads a pool vertex's
+    parents while values are built, so no vertex gets a predecessor set,
+    which would be most of what it allocates; `circuit` builds them for the
+    subgraph it hands out, and `keep` needs none, since a parent of a
+    vertex no marking reaches is not reached either.
     """
 
     def __init__(self, stats: ReduceStats | None = None):
         c = PowerCircuit()
         super().__init__(c, (c.add_vertex(),), (), stats)
+        c._pred = None  # out-edges only
         self.powers = {}  # integer e -> the vertex worth 2^e
+        self.exp_of = {}  # a registered vertex -> its exponent e
         self.exps = []  # the keys of powers, ascending
 
     def vertex(self, ds: tuple, slot=None, lo: int = 1):
@@ -523,10 +542,12 @@ class Pool(_State):
         searched for from position lo up.
 
         A tuple that is not a compact sum of pool vertices with a positive
-        leading digit is refused, and so is a slot that its neighbours do
-        not confirm; neither leaves a trace.  A compact ds holds no loop
-        and no key twice, so the new vertex's edges go straight into the
-        graph tables.
+        leading digit is refused, and so is a searched slot that its
+        neighbours do not confirm; neither leaves a trace.  A slot the
+        caller gives is not compared again: only the placement of a power
+        between registered neighbours, which names its slot, gives one.  A
+        compact ds holds no loop and no key twice, so it is the new vertex's
+        out-edge table as it stands.
         """
         v = self.vertex_of.get(ds)
         if v is not None:
@@ -546,11 +567,9 @@ class Pool(_State):
         if bits is None:
             raise CircuitInvariantError("a compact digit tuple missed its twin's index entry")
         c = self.c
-        v = c.add_vertex()
-        out, pred = c._succ[v], c._pred
-        for t, s in ds or ((self.zero, 1),):
-            out[t] = s
-            pred[t].add(v)
+        v = c._next_id
+        c._next_id += 1
+        c._succ[v] = {t: s for t, s in ds or ((self.zero, 1),)}
         self.insert(v, sv, pos, *bits)
         return v
 
@@ -588,37 +607,68 @@ class Pool(_State):
 
     def successor(self, v):
         """The vertex worth 2 * value(v), added if missing, so carries never
-        run out of keys."""
+        run out of keys.  A missing double of a registered power 2^e is
+        power(e + 1), which goes just above v at a slot the registered
+        powers name, with no search.  Any other vertex's double is its
+        exponent plus one, made compact and found or searched for."""
         p = self.partner(v)
         if p is None:
+            e = self.exp_of.get(v)
+            if e is not None:
+                return self.power(e + 1)
             p = self.vertex(self.add(self.sums[v].digits, ((self.vertex(()), 1),)))
         return p
 
     def power(self, e: int):
-        """The vertex worth 2^e for an integer e >= 0.
-
-        When the memoized powers just below and just above e are neighbours
-        in the order, a new 2^e goes between them without a search, and its
-        doubling bits say whether their exponents are e - 1 and e + 1.
-        """
+        """The vertex worth 2^e for an integer e >= 0: a lookup, or
+        _add_powers when it is missing."""
         v = self.powers.get(e)
         if v is None:
-            ds = self.integer(e)
-            exps, order = self.exps, self.order
-            i = bisect.bisect(exps, e)
-            pos = self.position(self.powers[exps[i - 1]]) + 1 if i else 1
-            above = self.powers[exps[i]] if i < len(exps) else None
-            slot = None
-            if (order[pos] if pos < len(order) else None) == above:
-                slot = pos, (i > 0 and exps[i - 1] == e - 1, i < len(exps) and exps[i] == e + 1)
-            v = self.powers[e] = self.vertex(ds, slot)
-            exps.insert(i, e)
+            self._add_powers((e,))
+            v = self.powers[e]
         return v
 
     def integer(self, n: int) -> tuple:
-        """The compact marking of the integer n."""
+        """The compact marking of the integer n.  The powers its digits name
+        that the pool lacks go in in one bottom-up pass of _add_powers."""
+        digits = compact_of_integer(abs(n)).digits
+        self._add_powers([e for e, _ in digits])
+        powers = self.powers
         sign = 1 if n > 0 else -1
-        return tuple((self.power(e), sign * s) for e, s in compact_of_integer(abs(n)))
+        return tuple((powers[e], sign * s) for e, s in digits)
+
+    def _add_powers(self, es):
+        """Register 2^e for each exponent in es, and for each exponent of
+        their compact digits, and of those, and so on.
+
+        The missing exponents are gathered first, with an explicit stack,
+        and then added in ascending order: the digits of 2^e are powers
+        below 2^e, so they are in when it goes in.  When the registered
+        powers just below and just above e are neighbours in the order, a
+        new 2^e goes between them without a search, and its doubling bits
+        say whether their exponents are e - 1 and e + 1; otherwise it is
+        searched for from just above the power below.  A vertex worth 2^e
+        that another path made is found by its digits and registered.
+        """
+        powers = self.powers
+        need = {}  # missing exponent -> its compact digits over exponents
+        stack = [e for e in es if e not in powers]
+        while stack:
+            e = stack.pop()
+            if e not in need:
+                need[e] = ds = compact_of_integer(e).digits
+                stack.extend(q for q, _ in ds if q not in powers)
+        exps, order, exp_of = self.exps, self.order, self.exp_of
+        for e in sorted(need):
+            i = bisect.bisect(exps, e)
+            pos = self.position(powers[exps[i - 1]]) + 1 if i else 1
+            above = powers[exps[i]] if i < len(exps) else None
+            slot = None
+            if (order[pos] if pos < len(order) else None) == above:
+                slot = pos, (i > 0 and exps[i - 1] == e - 1, i < len(exps) and exps[i] == e + 1)
+            v = powers[e] = self.vertex(tuple((powers[q], s) for q, s in need[e]), slot, pos)
+            exp_of[v] = e
+            exps.insert(i, e)
 
     def add(self, a: tuple, b: tuple) -> tuple:
         """The compact marking of value(a) + value(b).
@@ -674,12 +724,15 @@ class Pool(_State):
         reach, so it is already the trimmed normal form."""
         if not marking:
             return circ.zero_circuit()
-        succ, pred = self.c._succ, self.c._pred
+        succ = self.c._succ
         reach = self.reach([marking])
         w = PowerCircuit()
         w._marks = dict(marking)
         w._succ = {v: dict(succ[v]) for v in reach}
-        w._pred = {v: pred[v] & reach for v in reach}
+        w._pred = pred = {v: set() for v in reach}
+        for v in reach:
+            for t in succ[v]:
+                pred[t].add(v)
         w._next_id = self.c._next_id
         return w.freeze(CircuitKind.NORMAL, _restrict(self.order, self.twice, reach))
 
@@ -700,13 +753,15 @@ class Pool(_State):
         reach.  What stays keeps its digits, so the certificate restricted
         to it still holds, and every marking given stays valid."""
         alive = self.reach(markings) | {self.zero}
+        succ = self.c._succ
         for v in [v for v in self.order if v not in alive]:
-            self.c.remove_vertex(v)
+            del succ[v]
             del self.vertex_of[self.sums.pop(v).digits]
             del self.rank[v]
         self.order = [v for v in self.order if v in alive]
         self.twice = {a: b for a, b in self.twice.items() if a in alive and b in alive}
-        self.powers = {e: v for e, v in self.powers.items() if v in alive}
+        self.exp_of = {v: e for v, e in self.exp_of.items() if v in alive}
+        self.powers = {e: v for v, e in self.exp_of.items()}
         self.exps = [e for e in self.exps if e in self.powers]
 
     def take(self, c: PowerCircuit):

@@ -311,8 +311,23 @@ def make_compact(s: SignedSum, domain: KeyDomain = INT_KEYS) -> SignedSum:
 
 def compact_of_integer(n: int) -> SignedSum:
     """Compact signed-binary digits of n (integer keys): the non-adjacent
-    form, with a digit at k where bit k + 1 of 3n ^ n is set, + where 3n's is."""
+    form, with a digit at k where bit k + 1 of 3n ^ n is set, + where 3n's is.
+
+    While the digit mask (3n ^ n) >> 1 is below 2^64, its set bits are
+    walked from the top with bit_length, and no string is made.  Clearing a
+    bit copies the whole integer, so that walk is quadratic in the length of
+    n: a larger mask is read from its binary string in one linear scan
+    instead.  Both ways give the same digits.
+    """
     nz = (3 * n ^ n) >> 1
+    if nz >> 64 == 0:
+        plus = 3 * n >> 1
+        digits = []
+        while nz:
+            k = nz.bit_length() - 1
+            digits.append((k, 1 if plus >> k & 1 else -1))
+            nz ^= 1 << k
+        return SignedSum(digits)
     bits = format(nz, "b")
     plus = format((3 * n >> 1) & nz, "b").zfill(len(bits))
     top = len(bits) - 1

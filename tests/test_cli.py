@@ -194,11 +194,33 @@ def test_normalize_rejects_json_nested_too_deeply(tmp_path, capsys):
 
 
 def test_normalize_rejects_an_infinite_id(tmp_path, capsys):
-    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    # json reads 1e400 as inf, a float, which is not an integer
     p = tmp_path / "inf.json"
     p.write_text('{"kind": "general", "vertices": [{"id": 1e400, "label": "zero"}],'
                  ' "edges": [], "marks": [{"vertex": 0, "sign": 1}]}')
     code, out, err = run(capsys, "normalize", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed circuit document")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("vertices", 3, "id"), 3.7),
+    (("edges", 2, "from"), "3"),
+    (("edges", 0, "sign"), True),
+    (("marks", 1, "sign"), 1.5),
+    (("certificate", "order", 0), "0"),
+], ids=["vertex-id", "edge-end", "edge-sign", "mark-sign", "certificate-order"])
+def test_numbers_that_are_not_integers_exit_2(tmp_path, capsys, path, value):
+    # each used to be truncated or converted by int(), and the file loaded
+    doc = circ.to_json_dict(circ.from_integer(5))
+    *where, last = path
+    entry = doc
+    for k in where:
+        entry = entry[k]
+    entry[last] = value
+    p = tmp_path / "five.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stats", str(p))
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed circuit document")
 

@@ -771,11 +771,11 @@ def verify_pool(pool):
     sum is compact."""
     labels = [pool.rank[v] for v in pool.order]
     assert labels == sorted(set(labels)) and len(pool.rank) == len(pool.order)
-    c = pool.c.copy()
-    for v in pool.order[1:]:
-        c.set_mark(v, 1)
-    verify_certificate(c.freeze(CircuitKind.REDUCED,
-                                Certificate(tuple(pool.order), tuple(pool.doubles))))
+    # the pool keeps no predecessor sets; circuit builds them for a marking
+    # of every vertex, which reaches all of the pool
+    c = pool.circuit(tuple((v, 1) for v in pool.order[:0:-1]))
+    assert c.certificate == Certificate(tuple(pool.order), tuple(pool.doubles))
+    verify_certificate(c)
     assert sorted(pool.vertex_of.values()) == sorted(pool.order[1:])
     for v in pool.order[1:]:
         ds = pool.sums[v].digits
@@ -851,6 +851,66 @@ def test_a_label_gap_that_runs_out_relabels_the_pool(monkeypatch):
     for e in (1, 2, 77, 399, 400):
         assert eval_bignum(pool.circuit(((pool.power(e), 1),))) == 2**e
     assert pool.integer(12345) == pool.add(pool.integer(12000), pool.integer(345))
+    verify_pool(pool)
+
+
+def test_literals_and_their_sum_need_no_search_and_no_relabel(monkeypatch):
+    # the powers of a literal go in ascending order, each at a slot its
+    # registered neighbours name, and a carry out of 2^e is 2^(e+1), whose
+    # slot is known too: no binary search, and no gap runs out
+    calls = {"locate": 0, "relabel": 0}
+    locate, relabel = reduction.Pool.locate, reduction._State._relabel
+
+    def counting_locate(self, *args, **kw):
+        calls["locate"] += 1
+        return locate(self, *args, **kw)
+
+    def counting_relabel(self):
+        calls["relabel"] += 1
+        relabel(self)
+
+    monkeypatch.setattr(reduction.Pool, "locate", counting_locate)
+    monkeypatch.setattr(reduction._State, "_relabel", counting_relabel)
+    rng = random.Random(5)
+    a, b = (rng.getrandbits(512) | 1 << 511 for _ in range(2))
+    pool = reduction.Pool()
+    m = pool.add(pool.integer(a), pool.integer(b))
+    assert calls == {"locate": 0, "relabel": 0}
+    assert m == pool.integer(a + b)
+    assert eval_bignum(pool.circuit(m)) == a + b
+    verify_pool(pool)
+
+
+def test_power_adopts_a_vertex_another_path_made():
+    # 1 <<^ 300 places 2^300 as a shift, not as a power; power(300) finds
+    # it by its digits, adds no second vertex, and carries out of it
+    pool = reduction.Pool()
+    (v, s), = pool.shift(pool.integer(1), pool.integer(300))
+    n = pool.c.n_vertices()
+    assert s == 1 and pool.power(300) == v
+    assert pool.c.n_vertices() == n
+    assert pool.partner(v) is None
+    assert eval_bignum(pool.circuit(((pool.successor(v), 1),))) == 2**301
+    assert pool.power(301) == pool.partner(v)
+    verify_pool(pool)
+
+
+def test_a_kept_power_carries_after_keep():
+    # 2^8 is dropped, so the kept 2^7 has no doubling partner; its
+    # successor is a new 2^8, and 2^9, which goes too, comes back as well
+    pool = reduction.Pool()
+    held = pool.integer(1 << 7)
+    pool.integer(1 << 8)
+    pool.integer(1 << 9)
+    pool.keep([held])
+    verify_pool(pool)
+    (v, _), = held
+    assert pool.partner(v) is None
+    up = pool.successor(v)
+    assert eval_bignum(pool.circuit(((up, 1),))) == 1 << 8
+    assert pool.power(8) == up and pool.partner(v) == up
+    assert eval_bignum(pool.circuit(((pool.successor(up), 1),))) == 1 << 9
+    assert pool.add(held, held) == pool.integer(1 << 8)
     verify_pool(pool)
 
 

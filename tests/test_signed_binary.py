@@ -1,6 +1,7 @@
 """Signed binary sums: reduction, superfluous-pair removal, compact forms."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,27 @@ def test_make_compact_value_and_gap(s):
     ds = digits(c)
     for (q0, _), (q1, _) in zip(ds, ds[1:]):
         assert q0 - q1 >= 2
+
+
+def _compact_by_string_scan(n):
+    """The digits of compact_of_integer as one scan of the binary strings of
+    its digit mask and its plus mask: the reference for both branches."""
+    nz = (3 * n ^ n) >> 1
+    bits = format(nz, "b")
+    plus = format((3 * n >> 1) & nz, "b").zfill(len(bits))
+    top = len(bits) - 1
+    return [(top - i, 1 if p == "1" else -1)
+            for i, (b, p) in enumerate(zip(bits, plus)) if b == "1"]
+
+
+def test_compact_of_integer_matches_the_string_scan():
+    # the bit walk below 2^64 and the string scan above give one digit list
+    rng = random.Random(13)
+    ns = list(range(1 << 14))
+    ns += [(1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 63) + (1 << 62)]
+    ns += [rng.getrandbits(rng.randrange(1, 3001)) for _ in range(300)]
+    for n in ns:
+        assert digits(compact_of_integer(n)) == _compact_by_string_scan(n), n
 
 
 @given(st.integers(-(2**80), 2**80))
