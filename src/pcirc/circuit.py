@@ -580,20 +580,15 @@ def to_json(c: PowerCircuit) -> str:
     return json.dumps(to_json_dict(c), indent=2, sort_keys=False) + "\n"
 
 
-def _ints(xs):
-    """xs as a list, when each of its items is a JSON integer.  A float, a
-    bool or a string is refused rather than truncated or converted."""
-    xs = list(xs)
-    for x in xs:
-        if type(x) is not int:
-            raise CircuitInvariantError(f"malformed circuit document: {x!r} is not an integer")
-    return xs
-
-
 def from_json_dict(doc: dict) -> PowerCircuit:
     c = PowerCircuit()
+    # every number must be a JSON integer: a float, a bool or a string is
+    # refused, not truncated or converted
     try:
-        ids = _ints([v["id"] for v in doc["vertices"]])
+        ids = [v["id"] for v in doc["vertices"]]
+        for v in ids:
+            if type(v) is not int:
+                raise CircuitInvariantError(f"malformed circuit document: vertex id {v!r} is not an integer")
         if len(set(ids)) != len(ids):
             raise CircuitInvariantError("duplicate vertex ids")
         labels = {}
@@ -622,7 +617,10 @@ def from_json_dict(doc: dict) -> PowerCircuit:
             out[t] = s
             into.add(v)
         for m in doc.get("marks", ()):
-            c.set_mark(*_ints((m["vertex"], m["sign"])))
+            v, s = m["vertex"], m["sign"]
+            if type(v) is not int or type(s) is not int:
+                raise CircuitInvariantError(f"malformed circuit document: mark {m!r} needs an integer vertex and sign")
+            c.set_mark(v, s)
         for v, label in labels.items():
             if label == "zero" and c._succ[v]:
                 raise CircuitInvariantError(f"zero vertex {v} has edges")
@@ -641,7 +639,10 @@ def from_json_dict(doc: dict) -> PowerCircuit:
             return c.freeze(kind)
         if cert_doc is None:
             return c.freeze()
-        order = tuple(_ints(cert_doc["order"]))
+        order = tuple(cert_doc["order"])
+        for v in order:
+            if type(v) is not int:
+                raise CircuitInvariantError(f"malformed circuit document: certificate entry {v!r} is not an integer")
         doubles = tuple(ch == "1" for ch in cert_doc["doubles"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitInvariantError(

@@ -313,14 +313,17 @@ def compact_of_integer(n: int) -> SignedSum:
     """Compact signed-binary digits of n (integer keys): the non-adjacent
     form, with a digit at k where bit k + 1 of 3n ^ n is set, + where 3n's is.
 
-    While the digit mask (3n ^ n) >> 1 is below 2^64, its set bits are
+    While the digit mask (3n ^ n) >> 1 is below 2^1024, its set bits are
     walked from the top with bit_length, and no string is made.  Clearing a
     bit copies the whole integer, so that walk is quadratic in the length of
     n: a larger mask is read from its binary string in one linear scan
-    instead.  Both ways give the same digits.
+    instead.  Both ways give the same digits.  On a 2-core Xeon under
+    CPython 3.11, the walk took 1.4 us against 3.0 at 4 bits and 72 us
+    against 78 at 1,024; the two tie near 2,048 bits, and at 16,384 the walk
+    took 2.9 ms against 1.4.
     """
     nz = (3 * n ^ n) >> 1
-    if nz >> 64 == 0:
+    if nz >> 1024 == 0:
         plus = 3 * n >> 1
         digits = []
         while nz:

@@ -771,8 +771,10 @@ def verify_pool(pool):
     sum is compact."""
     labels = [pool.rank[v] for v in pool.order]
     assert labels == sorted(set(labels)) and len(pool.rank) == len(pool.order)
-    # the pool keeps no predecessor sets; circuit builds them for a marking
-    # of every vertex, which reaches all of the pool
+    # the pool's graph holds the order's vertices and nothing else; it keeps
+    # no predecessor sets, so circuit builds them for a marking of every
+    # vertex, which reaches all of the pool
+    assert sorted(pool.c.vertices()) == sorted(pool.order)
     c = pool.circuit(tuple((v, 1) for v in pool.order[:0:-1]))
     assert c.certificate == Certificate(tuple(pool.order), tuple(pool.doubles))
     verify_certificate(c)

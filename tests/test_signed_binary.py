@@ -137,10 +137,12 @@ def _compact_by_string_scan(n):
 
 
 def test_compact_of_integer_matches_the_string_scan():
-    # the bit walk below 2^64 and the string scan above give one digit list
+    # the bit walk below a 2^1024 mask and the string scan above give one
+    # digit list, on both sides of the cut
     rng = random.Random(13)
     ns = list(range(1 << 14))
     ns += [(1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 63) + (1 << 62)]
+    ns += [(1 << k) + d for k in (1023, 1024, 1025) for d in (-1, 0, 1)]
     ns += [rng.getrandbits(rng.randrange(1, 3001)) for _ in range(300)]
     for n in ns:
         assert digits(compact_of_integer(n)) == _compact_by_string_scan(n), n
