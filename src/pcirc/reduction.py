@@ -83,8 +83,8 @@ sum the sweep has already built: the one a vertex placed without a
 separation was searched with, or the one insert_above built for its
 right-bit compare.  A doubling changes only the lowest digits, so it
 updates the processed vertex's digit list in place rather than sorting it
-afresh.  A state made from a certificate, in verify_certificate, builds
-each sum on its first use.
+afresh.  The bare certificate verify_certificate builds, with no sweep,
+builds each sum on its first use.
 
 insert also indexes each certified vertex by its digit tuple, and locate
 looks a vertex's digits up there before its binary search.  The index
@@ -94,18 +94,19 @@ a hit names the very twin the search would find, without a compare.  Every
 entry names a vertex whose memoized sum has exactly those digits.
 
 A Pool is the certificate kept for many values at once, as the source paper
-runs every operation on the markings of one circuit: it starts from the
-zero alone and only grows, every vertex's digit sum is compact, and a value
-is a compact marking over its vertices.  Sums merge two markings and carry;
-a carry that finds no doubling partner adds one.  A new vertex costs one
+runs every operation on the markings of one circuit.  It shares the
+certificate class with the sweep, not the sweep itself: it owns its graph,
+a plain out-edge table with no predecessor sets, which `circuit` builds
+for the subgraph it hands out.  It starts from the zero alone and only
+grows, every vertex's digit sum is compact, and a value is a compact
+marking over its vertices.  Sums merge two markings and carry; a carry
+that finds no doubling partner adds one.  A new vertex costs one
 `locate` and one `insert`, and the index finds every value already there.
 Compact sums order lexicographically, so the pool's own `locate` searches
 by reading digits, and runs the five-way comparison only against the two
 neighbours of the slot it finds, which confirm the slot and give its
 doubling bits.  Nothing is rewired, so no pool vertex ever changes its
 value; `keep` only drops the vertices that no value still held reaches.
-The pool's circuit keeps out-edges only, with no predecessor set per
-vertex; `circuit` builds them for the subgraph it hands out.
 
 The pool registers the vertices 2^e it makes for integers e by their
 exponents.  An integer's missing powers, those of its compact digits and
@@ -120,12 +121,12 @@ The pool is the one place a normal form is built.  `take` brings in any
 constant circuit, children first, making each vertex's digits and then the
 marks compact over the pool's order, and `circuit` hands a marking out:
 the subgraph it reaches is compact and trimmed, so it is the normal form.
-A reduced circuit comes in in certificate order; any other circuit comes in
-in geometric order, without a sweep, and a vertex whose compact exponent
-has a negative leading digit makes it improper, as in the sweep.  A twin
-of a vertex already in costs one index lookup, not a doubling.  normalize
-is take into a fresh pool and read back out, so the sweep serves reduce
-and sign alone; a normal input comes back as it is.  Normal circuits are
+Every circuit, reduced or not, comes in one way: in geometric order,
+without a sweep, and a vertex whose compact exponent has a negative
+leading digit makes it improper, as in the sweep.  A twin of a vertex
+already in costs one index lookup, not a doubling.  normalize is take
+into a fresh pool and read back out, so the sweep serves reduce and sign
+alone; a normal input comes back as it is.  Normal circuits are
 canonical: equal value implies equal shape, so canonical_bytes compares
 them whatever their vertex ids.
 """
@@ -174,21 +175,23 @@ class ReduceStats:
     separations: int = 0
 
 
-class _State(KeyDomain):
-    """Mutable working certificate over a circuit being reduced.
+class _Order(KeyDomain):
+    """A certificate over an out-edge table, as the sweep and the pool both
+    keep one.
 
-    Digit keys are vertex ids.  `order` lists the certified vertices by
-    value; `rank` gives each an integer label that increases along `order`
-    but leaves gaps, so an insert labels only the new vertex: it takes the
-    midpoint of its neighbours' labels, or the top label plus _GAP, and a
-    gap that runs out relabels the whole order once.  A position in `order`
-    is found by bisecting on labels.  `twice` maps a vertex to the one
-    worth exactly twice its value; an insert only adds to it, since two
-    vertices with a slot between them were never a doubling pair.
+    Digit keys are vertex ids, and `succ` maps each vertex to its out-edges.
+    `order` lists the certified vertices by value; `rank` gives each an
+    integer label that increases along `order` but leaves gaps, so an insert
+    labels only the new vertex: it takes the midpoint of its neighbours'
+    labels, or the top label plus _GAP, and a gap that runs out relabels the
+    whole order once.  A position in `order` is found by bisecting on
+    labels.  `twice` maps a vertex to the one worth exactly twice its value;
+    an insert only adds to it, since two vertices with a slot between them
+    were never a doubling pair.
     """
 
-    def __init__(self, c: PowerCircuit, order, doubles, stats: ReduceStats | None = None):
-        self.c = c
+    def __init__(self, succ: dict, order, doubles, stats: ReduceStats | None = None):
+        self.succ = succ
         self.zero = order[0]
         self.order = list(order)
         self.rank = {v: i * _GAP for i, v in enumerate(self.order)}
@@ -196,13 +199,6 @@ class _State(KeyDomain):
         self.stats = ReduceStats() if stats is None else stats
         self.sums = {}  # certified vertex -> its digit sum, built once
         self.vertex_of = {}  # digit tuple -> the certified vertex with those digits
-
-    @property
-    def doubles(self) -> list:
-        """The doubling bit of each pair of neighbours in order, as a
-        certificate lists them."""
-        twice = self.twice
-        return [twice.get(a) == b for a, b in zip(self.order, self.order[1:])]
 
     # KeyDomain over vertex ids
 
@@ -215,7 +211,7 @@ class _State(KeyDomain):
         return self.twice.get(b) == a
 
     def is_unit(self, v) -> bool:
-        out = self.c._succ[v]
+        out = self.succ[v]
         return len(out) == 1 and self.zero in out
 
     def partner(self, v):
@@ -254,22 +250,10 @@ class _State(KeyDomain):
         self.sums[v] = sv
         self.vertex_of[sv.digits] = v
 
-    def index(self, v):
-        """Index certified vertex v, as insert does, building its sum."""
-        self.vertex_of[self.sum_of(v).digits] = v
-
-    def insert_above(self, v, u, ds):
-        """Insert v, whose digits are ds and whose value is 2 * value(u),
-        into the free slot just above u."""
-        pos = self.position(u) + 1
-        sv = SignedSum(ds)
-        right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
-        self.insert(v, sv, pos, True, right)
-
     # digit views
 
     def digits_of(self, v) -> list:
-        out = self.c._succ[v]
+        out = self.succ[v]
         ds = [(t, s) for t, s in out.items() if t != self.zero]
         ds.sort(key=lambda d: self.rank[d[0]], reverse=True)
         return ds
@@ -295,16 +279,34 @@ class _State(KeyDomain):
         self.stats.ops += it
         return r
 
-    def locate(self, sv: SignedSum, lo: int = 1):
+
+class _State(_Order):
+    """The working certificate of a sweep over circuit c, which it rewires;
+    its `succ` is c's own out-edge table, so every edit shows in both."""
+
+    def __init__(self, c: PowerCircuit, order, doubles, stats: ReduceStats | None = None):
+        super().__init__(c._succ, order, doubles, stats)
+        self.c = c
+
+    def index(self, v):
+        """Index certified vertex v, as insert does, building its sum."""
+        self.vertex_of[self.sum_of(v).digits] = v
+
+    def insert_above(self, v, u, ds):
+        """Insert v, whose digits are ds and whose value is 2 * value(u),
+        into the free slot just above u."""
+        pos = self.position(u) + 1
+        sv = SignedSum(ds)
+        right = pos < len(self.order) and self._cmp(sv, self.order[pos]) == -1
+        self.insert(v, sv, pos, True, right)
+
+    def locate(self, sv: SignedSum):
         """(twin, None) when certified vertex twin has sv's value, else
-        (insertion position, (bit_left, bit_right)).  A caller that knows
-        sv's value lies above order[lo - 1]'s starts the search at lo.
+        (insertion position, (bit_left, bit_right)).
 
         The search compared sv with both new neighbours last, so those
-        compares already say whether each is an exact half or double; only
-        a slot at the bottom of a search started above position 1 needs one
-        more compare, with order[lo - 1], for its left bit.  A certified
-        vertex with exactly sv's digits is found without a compare.
+        compares already say whether each is an exact half or double.  A
+        certified vertex with exactly sv's digits is found without a compare.
         A probe whose leading key is neither sv's own, its half nor its
         double is settled as +-2 from the two labels; it counts one op, as
         the one iteration compare_counted would take on it.  The other
@@ -318,7 +320,7 @@ class _State(KeyDomain):
         ka = sv.digits[0][0] if sv.digits else None
         if ka is not None:
             ra, up = rank[ka], twice.get(ka)
-        start, hi = lo, len(order)
+        lo, hi = 1, len(order)
         left = right = False
         while lo < hi:
             mid = (lo + hi) // 2
@@ -341,8 +343,6 @@ class _State(KeyDomain):
                 hi, right = mid, r == -1
             else:
                 lo, left = mid + 1, r == 1
-        if lo == start > 1:
-            left = self._cmp(sv, order[lo - 1]) == 1
         return lo, (left, right)
 
     # local rewriting
@@ -505,7 +505,7 @@ class _State(KeyDomain):
         return _restrict(self.order, self.twice, self.c._succ)
 
 
-class Pool(_State):
+class Pool(_Order):
     """One certified circuit that only grows, holding many values at once.
 
     Values are compact markings: tuples of (vertex, +-1) in descending
@@ -521,17 +521,17 @@ class Pool(_State):
     improper, and `circuit` turns a marking back into a normal circuit, so
     normal forms are made here.
 
-    The pool's circuit keeps out-edges only.  Nothing reads a pool vertex's
-    parents while values are built, so no vertex gets a predecessor set,
-    which would be most of what it allocates; `circuit` builds them for the
-    subgraph it hands out, and `keep` needs none, since a parent of a
-    vertex no marking reaches is not reached either.
+    The pool's graph is its own out-edge table `succ`, with vertex 0 the
+    zero and `next_id` the next free id; it is no PowerCircuit.  Nothing
+    reads a pool vertex's parents while values are built, so no vertex gets
+    a predecessor set, which would be most of what it allocates; `circuit`
+    builds them for the subgraph it hands out, and `keep` needs none, since
+    a parent of a vertex no marking reaches is not reached either.
     """
 
     def __init__(self, stats: ReduceStats | None = None):
-        c = PowerCircuit()
-        super().__init__(c, (c.add_vertex(),), (), stats)
-        c._pred = None  # out-edges only
+        super().__init__({0: {}}, (0,), (), stats)
+        self.next_id = 1
         self.powers = {}  # integer e -> the vertex worth 2^e
         self.exp_of = {}  # a registered vertex -> its exponent e
         self.exps = []  # the keys of powers, ascending
@@ -566,16 +566,15 @@ class Pool(_State):
         pos, bits = self.locate(sv, lo) if slot is None else slot
         if bits is None:
             raise CircuitInvariantError("a compact digit tuple missed its twin's index entry")
-        c = self.c
-        v = c._next_id
-        c._next_id += 1
-        c._succ[v] = {t: s for t, s in ds or ((self.zero, 1),)}
+        v = self.next_id
+        self.next_id += 1
+        self.succ[v] = {t: s for t, s in ds or ((self.zero, 1),)}
         self.insert(v, sv, pos, *bits)
         return v
 
     def locate(self, sv: SignedSum, lo: int = 1):
-        """_State.locate for a compact sv: the same answer, from a
-        lexicographic search.
+        """The sweep's locate for a compact sv: the same answer, from a
+        lexicographic search starting at position lo.
 
         Each probe is one _lex_sign against a pool sum, which reads digits
         only and counts one op.  The slot is then confirmed against both
@@ -724,7 +723,7 @@ class Pool(_State):
         reach, so it is already the trimmed normal form."""
         if not marking:
             return circ.zero_circuit()
-        succ = self.c._succ
+        succ = self.succ
         reach = self.reach([marking])
         w = PowerCircuit()
         w._marks = dict(marking)
@@ -733,12 +732,12 @@ class Pool(_State):
         for v in reach:
             for t in succ[v]:
                 pred[t].add(v)
-        w._next_id = self.c._next_id
+        w._next_id = self.next_id
         return w.freeze(CircuitKind.NORMAL, _restrict(self.order, self.twice, reach))
 
     def reach(self, markings) -> set:
         """The vertices that the markings reach, their own included."""
-        succ = self.c._succ
+        succ = self.succ
         seen = {v for m in markings for v, _ in m}
         stack = list(seen)
         while stack:
@@ -753,7 +752,7 @@ class Pool(_State):
         reach.  What stays keeps its digits, so the certificate restricted
         to it still holds, and every marking given stays valid."""
         alive = self.reach(markings) | {self.zero}
-        succ = self.c._succ
+        succ = self.succ
         for v in [v for v in self.order if v not in alive]:
             del succ[v]
             del self.vertex_of[self.sums.pop(v).digits]
@@ -767,61 +766,42 @@ class Pool(_State):
     def take(self, c: PowerCircuit):
         """The compact marking of constant circuit c, or IMPROPER.
 
-        c's vertices that the marks reach come in children first, each
-        mapped to the pool vertex of its value; a leaf is worth 0 and maps
-        to no digit.  Any other vertex is trimmed from a copy first and
-        never looked at, as in reduce.  A vertex's mapped digits are made
-        compact over the pool's order, carrying into doubling vertices the
-        pool adds where missing, and a negative leading digit makes c
-        improper, as in the sweep.  A twin of a vertex already in is then
-        one index lookup.
-
-        A certified circuit comes in in certificate order, so each vertex is
-        worth more than the one before: its search starts just above the
-        previous vertex's image, and its mapped digits have distinct keys,
-        which make_compact takes in label order.  Any other circuit comes in
-        in geometric order, and two children may share an image, so its
-        digits, and its marks, go through add, which carries equal keys:
-        once for each distinct list of mapped digits, so twins in c share
-        one compaction.
+        c's vertices that the marks reach come in children first, in
+        geometric order, each mapped to the pool vertex of its value; a leaf
+        is worth 0 and maps to no digit.  Any other vertex is trimmed from a
+        copy first and never looked at, as in reduce.  Two children may share
+        an image, so a vertex's mapped digits, and then the marks, go
+        through add, which carries equal keys into doubling vertices the
+        pool adds where missing; a negative leading digit makes c improper,
+        as in the sweep.  Each distinct list of mapped digits is made
+        compact once, so twins in c share one compaction, and a twin of a
+        vertex already in is one index lookup.  A certified circuit comes in
+        the same way as any other.
         """
         if not c.is_constant():
             raise VariableCircuitError("normalize needs a constant circuit")
-        rank = self.rank
-        certified = c.certificate is not None and c.kind in (CircuitKind.REDUCED, CircuitKind.NORMAL)
-        if certified:
-            order = c.certificate.order
+        if len(circ.reachable_from_marks(c)) < c.n_vertices():
+            c = c.copy()
+            circ.trim_inplace(c)
+        seen = {}  # sorted mapped digits -> their compact form
 
-            def compact(ds):
-                ds.sort(key=lambda d: rank[d[0]], reverse=True)
-                return make_compact(SignedSum(ds), self).digits
-        else:
-            if len(circ.reachable_from_marks(c)) < c.n_vertices():
-                c = c.copy()
-                circ.trim_inplace(c)
-            order = circ.geometric_order(c)
-            seen = {}  # sorted mapped digits -> their compact form
-
-            def compact(ds):
-                key = tuple(sorted(ds))
-                out = seen.get(key)
-                if out is None:
-                    out = seen[key] = self.add((), ds)
-                return out
+        def compact(ds):
+            key = tuple(sorted(ds))
+            out = seen.get(key)
+            if out is None:
+                out = seen[key] = self.add((), ds)
+            return out
 
         succ = c._succ
         m = {}
-        lo = 1
-        for v in order:
+        for v in circ.geometric_order(c):
             if not succ[v]:
                 m[v] = None
                 continue
             ds = compact([(m[t], s) for t, s in succ[v].items() if m[t] is not None])
             if ds and ds[0][1] < 0:
                 return IMPROPER
-            m[v] = u = self.vertex(ds, lo=lo)
-            if certified:
-                lo = self.position(u) + 1
+            m[v] = self.vertex(ds)
         return compact([(m[v], s) for v, s in c._marks.items() if m[v] is not None])
 
 
@@ -996,7 +976,7 @@ def verify_certificate(c: PowerCircuit, require_normal: bool = False):
         raise CertificateError("circuit is not trimmed")
     if cert.doubles and cert.doubles[0]:
         raise CertificateError("nothing can double the zero vertex")
-    st = _State(c, cert.order, cert.doubles)
+    st = _Order(c._succ, cert.order, cert.doubles)
     for v in cert.order[1:]:
         out = c.out_edges(v)
         if not out:

@@ -333,8 +333,8 @@ def _value(u, args: list, env: dict, pool: reduction.Pool, max_vertices: int):
             raise VariableCircuitError(f"no binding for variable {u.name!r}") from None
         if not isinstance(r, PowerCircuit):
             return pool.integer(r)
-        r = reduction.reduce(r)
-        return Undefined() if r is IMPROPER else pool.take(r)
+        r = pool.take(r)
+        return Undefined() if r is IMPROPER else r
     if isinstance(u, (And, Or)) and _decides(u, args[-1]):
         return args[-1]
     for j, a in enumerate(args):
@@ -401,7 +401,7 @@ def _evaluate(root, kind, env: dict, pool: reduction.Pool, max_vertices: int):
             continue
         v = _value(u, done[len(done) - k:], env, pool, max_vertices)
         del done[len(done) - k:]
-        if pool.c.n_vertices() > max_vertices and kids and isinstance(v, tuple):
+        if len(pool.succ) > max_vertices and kids and isinstance(v, tuple):
             _check_size(len(pool.reach([v])), max_vertices)
             pool.keep([w for w in done + [m[0] for m in memo.values()] + [v]
                        if isinstance(w, tuple)])
@@ -414,8 +414,8 @@ def _evaluate(root, kind, env: dict, pool: reduction.Pool, max_vertices: int):
 def realize(t: Term, env: dict | None = None, max_vertices: int = 10**6):
     """Normal-form circuit for the term under an assignment, or Undefined.
 
-    Bindings may be integers or circuits; a circuit binding is reduced and
-    taken into the pool, so an improper one is Undefined at the variable.
+    Bindings may be integers or circuits; a circuit binding is taken into
+    the pool as it is, so an improper one is Undefined at the variable.
     The term is evaluated inside one certified circuit, its pool: every
     subterm's value is a compact marking there, so a sum merges two
     markings and carries, a shift adds one vertex per summand, and each new

@@ -180,8 +180,8 @@ def test_sweep_takes_slots_from_the_certificate(monkeypatch):
             calls[-1]["pairs"].append((a.digits, b.digits))
         return real_compare(a, b, domain)
 
-    def locate(self, sv, lo=1):
-        slot = real_locate(self, sv, lo)
+    def locate(self, sv):
+        slot = real_locate(self, sv)
         calls[-1].setdefault("searched", len(calls[-1]["pairs"]))
         return slot
 
@@ -774,9 +774,10 @@ def verify_pool(pool):
     # the pool's graph holds the order's vertices and nothing else; it keeps
     # no predecessor sets, so circuit builds them for a marking of every
     # vertex, which reaches all of the pool
-    assert sorted(pool.c.vertices()) == sorted(pool.order)
+    assert sorted(pool.succ) == sorted(pool.order)
     c = pool.circuit(tuple((v, 1) for v in pool.order[:0:-1]))
-    assert c.certificate == Certificate(tuple(pool.order), tuple(pool.doubles))
+    bits = tuple(pool.twice.get(a) == b for a, b in zip(pool.order, pool.order[1:]))
+    assert c.certificate == Certificate(tuple(pool.order), bits)
     verify_certificate(c)
     assert sorted(pool.vertex_of.values()) == sorted(pool.order[1:])
     for v in pool.order[1:]:
@@ -791,9 +792,9 @@ def test_pool_keep_drops_only_what_no_held_marking_reaches():
     held = [pool.integer(n) for n in values[::3]]
     for n in values:
         pool.integer(n)
-    before = pool.c.n_vertices()
+    before = len(pool.succ)
     pool.keep(held)
-    assert pool.c.n_vertices() == len(pool.reach(held) | {pool.zero}) < before
+    assert len(pool.succ) == len(pool.reach(held) | {pool.zero}) < before
     verify_pool(pool)
     for n, m in zip(values[::3], held):
         assert pool.integer(n) == m
@@ -802,6 +803,23 @@ def test_pool_keep_drops_only_what_no_held_marking_reaches():
     for n in values:
         assert eval_bignum(pool.circuit(pool.add(pool.integer(n), pool.integer(1)))) == n + 1
     verify_pool(pool)
+
+
+def test_pool_owns_its_graph_and_none_of_the_sweep():
+    # the pool shares the certificate with the sweep, not the sweep: it has
+    # no circuit to rewire and none of the sweep's surgery, and its graph,
+    # a plain out-edge table, holds exactly its order, also after keep
+    pool = reduction.Pool()
+    assert not isinstance(pool, reduction._State)
+    for name in ("c", "trim", "process_vertex", "double_value", "cleanup_vertex",
+                 "increment_exponent", "insert_above"):
+        assert not hasattr(pool, name)
+    held = [pool.integer(n) for n in (5, -77, 1 << 40)]
+    pool.integer(12345)
+    pool.keep(held[:2])
+    assert set(pool.succ) == set(pool.order)
+    assert pool.next_id > max(pool.succ)
+    assert [eval_bignum(pool.circuit(m)) for m in held[:2]] == [5, -77]
 
 
 def test_pool_refuses_a_second_vertex_for_one_value():
@@ -838,13 +856,13 @@ def test_a_label_gap_that_runs_out_relabels_the_pool(monkeypatch):
     # each power goes just below the one before, into a gap that halves
     # each time, until a relabel spaces the whole order out again
     relabels = []
-    real = reduction._State._relabel
+    real = reduction._Order._relabel
 
     def relabel(self):
         relabels.append(len(self.order))
         real(self)
 
-    monkeypatch.setattr(reduction._State, "_relabel", relabel)
+    monkeypatch.setattr(reduction._Order, "_relabel", relabel)
     pool = reduction.Pool()
     for e in range(400, 0, -1):
         pool.power(e)
@@ -861,7 +879,7 @@ def test_literals_and_their_sum_need_no_search_and_no_relabel(monkeypatch):
     # registered neighbours name, and a carry out of 2^e is 2^(e+1), whose
     # slot is known too: no binary search, and no gap runs out
     calls = {"locate": 0, "relabel": 0}
-    locate, relabel = reduction.Pool.locate, reduction._State._relabel
+    locate, relabel = reduction.Pool.locate, reduction._Order._relabel
 
     def counting_locate(self, *args, **kw):
         calls["locate"] += 1
@@ -872,7 +890,7 @@ def test_literals_and_their_sum_need_no_search_and_no_relabel(monkeypatch):
         relabel(self)
 
     monkeypatch.setattr(reduction.Pool, "locate", counting_locate)
-    monkeypatch.setattr(reduction._State, "_relabel", counting_relabel)
+    monkeypatch.setattr(reduction._Order, "_relabel", counting_relabel)
     rng = random.Random(5)
     a, b = (rng.getrandbits(512) | 1 << 511 for _ in range(2))
     pool = reduction.Pool()
@@ -888,9 +906,9 @@ def test_power_adopts_a_vertex_another_path_made():
     # it by its digits, adds no second vertex, and carries out of it
     pool = reduction.Pool()
     (v, s), = pool.shift(pool.integer(1), pool.integer(300))
-    n = pool.c.n_vertices()
+    n = len(pool.succ)
     assert s == 1 and pool.power(300) == v
-    assert pool.c.n_vertices() == n
+    assert len(pool.succ) == n
     assert pool.partner(v) is None
     assert eval_bignum(pool.circuit(((pool.successor(v), 1),))) == 2**301
     assert pool.power(301) == pool.partner(v)
@@ -931,18 +949,18 @@ def test_pool_vertex_refuses_what_it_cannot_certify():
             keys.sort(key=pool.rank.__getitem__, reverse=True)
         ds = tuple((k, rng.choice((1, 1, 1, -1))) for k in keys)
         if rng.random() < 0.05:
-            ds = ds[:1] + ((pool.c._next_id, 1),) + ds[1:]
+            ds = ds[:1] + ((pool.next_id, 1),) + ds[1:]
         if rng.random() < 0.05:
             ds += ((pool.order[1], 2),)
-        before = pool.c.n_vertices()
+        before = len(pool.succ)
         try:
             v = pool.vertex(ds)
         except circ.CircuitInvariantError:
-            assert pool.c.n_vertices() == before
+            assert len(pool.succ) == before
             refused += 1
         else:
             assert pool.sums[v].digits == ds
-            added += pool.c.n_vertices() - before
+            added += len(pool.succ) - before
     assert refused > 1000 and added > 200
     verify_pool(pool)
 
@@ -953,10 +971,10 @@ def test_pool_certifies_nothing_its_neighbours_refuse(monkeypatch):
     ds = pool.integer(100)
     pool.integer(300)
     monkeypatch.setattr(reduction, "_lex_sign", lambda a, b, rank: -1)
-    before = pool.c.n_vertices()
+    before = len(pool.succ)
     with pytest.raises(circ.CircuitInvariantError, match="neighbours"):
         pool.vertex(ds)
-    assert pool.c.n_vertices() == before
+    assert len(pool.succ) == before
     verify_pool(pool)
 
 
@@ -974,8 +992,9 @@ def take_cases(rng):
 
 
 def test_pool_takes_any_reduced_circuit_in_normal_form():
-    # take makes a reduced circuit's sums and marks compact on the way in,
-    # so the reduced and the normal circuit of one value give one marking
+    # take makes a circuit's sums and marks compact on the way in, one way
+    # for every kind, so the general, the reduced and the normal circuit of
+    # one value give one marking
     pool = reduction.Pool()
     taken = 0
     for c in take_cases(random.Random(12)):
@@ -983,7 +1002,7 @@ def test_pool_takes_any_reduced_circuit_in_normal_form():
         if r is IMPROPER:
             continue
         m = pool.take(r)
-        assert m == pool.take(normalize(c))
+        assert m == pool.take(normalize(c)) == pool.take(c)
         nf = pool.circuit(m)
         verify_certificate(nf, require_normal=True)
         assert canonical_bytes(nf) == canonical_bytes(normalize(c))
